@@ -7,8 +7,9 @@ and parasitic baths, gate and readout simulation, process tomography, and
 microwave stub-filter design. The ``kerrcat`` console script exposes the
 named experiments.
 
-Set ``KERRCAT_NUMBA=1`` to JIT-compile the integrator kernels (requires
-numba); the default pure-numpy path produces identical results.
+The integrator kernels are JIT-compiled when numba is installed (the ``jit``
+extra); set ``KERRCAT_NUMBA=0`` to run them as plain numpy, which produces
+identical results and is the path taken when numba is absent.
 """
 
 __version__ = "0.1.0"

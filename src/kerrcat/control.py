@@ -275,15 +275,19 @@ def simulate_z_rotation(params: KerrCatParams, omega_z: float, theta_z: float,
 
 
 def rabi_frequency(times: np.ndarray, signal: np.ndarray) -> float:
-    """Angular oscillation frequency of a sampled sinusoid: FFT peak seed,
-    then least-squares sinusoid refinement."""
+    """Angular oscillation frequency of a sampled sinusoid: frequency and
+    phase seeded from the FFT peak bin, then least-squares sinusoid
+    refinement."""
     times = np.asarray(times, float)
     signal = np.asarray(signal, float)
     y = signal - signal.mean()
     freqs = np.fft.rfftfreq(times.size, times[1] - times[0])
-    spectrum_mag = np.abs(np.fft.rfft(y))
-    spectrum_mag[0] = 0.0
-    om0 = 2.0 * math.pi * float(freqs[int(np.argmax(spectrum_mag))])
+    spectrum = np.fft.rfft(y)
+    spectrum[0] = 0.0
+    peak = int(np.argmax(np.abs(spectrum)))
+    om0 = 2.0 * math.pi * float(freqs[peak])
+    # bin k of sin(om t + ph) sampled from t0 has phase om t0 + ph - pi/2
+    ph0 = float(np.angle(spectrum[peak])) + 0.5 * math.pi - om0 * times[0]
 
     def model(t, amp, om, ph, c):
         return amp * np.sin(om * t + ph) + c
@@ -291,7 +295,7 @@ def rabi_frequency(times: np.ndarray, signal: np.ndarray) -> float:
     try:
         p, _ = curve_fit(model, times, signal,
                          p0=[0.5 * (signal.max() - signal.min()),
-                             max(om0, 1e-3), 0.0, signal.mean()],
+                             max(om0, 1e-3), ph0, signal.mean()],
                          maxfev=20000)
         return float(abs(p[1]))
     except RuntimeError:

@@ -1,9 +1,11 @@
 """Lindblad master-equation integration, bath construction, and lifetime fits.
 
 Rates are plain 1/us (no 2π); frequencies entering Bose-Einstein factors are
-angular (rad/us). The integrator is the adaptive embedded Runge-Kutta pair in
+angular (rad/us). Density matrices, and kets under a schedule with envelopes,
+are integrated by the adaptive embedded Runge-Kutta pair in
 :mod:`kerrcat.kernels`, verified in the tests against a matrix-exponential
-solution of the vectorized generator.
+solution of the vectorized generator. A ket under a constant Hamiltonian is
+propagated exactly from the eigendecomposition of H.
 """
 from __future__ import annotations
 
@@ -15,15 +17,15 @@ from scipy.optimize import curve_fit
 
 from .catframe import build_cat_frame
 from .errors import (DimMismatch, FitDiverged, NonFiniteState,
-                     NonPositiveTemperature, StepSizeUnderflow, ZeroG3)
-from .fock import (DensityMatrix, Ket, Operator, Truncation, annihilation,
-                   default_truncation, number_operator)
+                     NonPositiveTemperature, NotHermitian, StepSizeUnderflow,
+                     ZeroG3)
+from .fock import (HERMITIAN_ATOL, DensityMatrix, Ket, Operator, Truncation,
+                   annihilation, default_truncation, number_operator)
 from .kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, default_max_step,
                       gershgorin_range, lb_step, se_step)
 from .model import KerrCatParams, SnailParams, kerr_cat_hamiltonian
 from .units import HBAR_OVER_KB_MK, MHZ
 
-TRACE_DRIFT_TOL = 1e-7
 EVOLVE_PSD_ATOL = 1e-6
 FIT_FLOOR = 0.05
 LIFETIME_SENTINEL_DROP = 0.02
@@ -358,7 +360,18 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
 def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None,
                rtol: float = 1e-8, atol: float = 1e-10,
                max_step_margin: float = 2.5) -> EvolutionResult:
-    """Closed-system counterpart of evolve() for pure states (gate paths)."""
+    """Closed-system counterpart of evolve() for pure states.
+
+    A constant Hamiltonian (an Operator, or a Schedule without envelopes) is
+    propagated exactly: H = V diag(lam) V† is diagonalised once and every
+    sample is psi(t) = V diag(exp(-i lam (t - t0))) V† psi0, for any
+    increasing t_span, uniform or not; nsteps is then 0. rtol, atol and
+    max_step_margin apply only to schedules with envelopes, which the
+    adaptive stepper integrates.
+
+    Raises NotHermitian for a constant H that is not Hermitian, and
+    StepSizeUnderflow / NonFiniteState on integrator failure.
+    """
     sched = _as_schedule(h)
     times = np.asarray(t_span, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
@@ -367,31 +380,42 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None,
     if psi0.dim != dim:
         raise DimMismatch(f"state dim {psi0.dim} vs hamiltonian dim {dim}")
     observables = observables or {}
-    bound = gershgorin_range(sched.h0.mat) + sched.drive_bound()
-    max_step = default_max_step(bound, max_step_margin)
-    nenv, envs, mats, dt_env, t0_env = sched.packed()
+    psi = psi0.amp.astype(np.complex128)
     H0 = np.ascontiguousarray(sched.h0.mat)
 
-    series: dict = {name: [] for name in observables}
-    psi = psi0.amp.astype(np.complex128).copy()
-    h_next = max_step
-    total_steps = 0
+    if not sched.envelopes:
+        dev = float(np.max(np.abs(H0 - H0.conj().T)))
+        if dev > HERMITIAN_ATOL:
+            raise NotHermitian(f"constant H is not Hermitian: max |H - H†| = {dev:.3e}")
+        lam, V = np.linalg.eigh(H0)
+        phases = np.exp(-1j * np.outer(times - times[0], lam))
+        psis = (phases * (V.conj().T @ psi)) @ V.T  # row j is psi(times[j])
+        series = {name: np.real(np.sum(psis.conj() * (psis @ op.mat.T), axis=1))
+                  for name, op in observables.items()}
+        psi, total_steps = psis[-1].copy(), 0
+    else:
+        bound = gershgorin_range(sched.h0.mat) + sched.drive_bound()
+        max_step = default_max_step(bound, max_step_margin)
+        nenv, envs, mats, dt_env, t0_env = sched.packed()
+        series = {name: [] for name in observables}
+        h_next = max_step
+        total_steps = 0
 
-    def sample(v):
-        for name, op in observables.items():
-            series[name].append(float(np.real(np.vdot(v, op.mat @ v))))
+        def sample(v):
+            for name, op in observables.items():
+                series[name].append(float(np.real(np.vdot(v, op.mat @ v))))
 
-    sample(psi)
-    for i in range(times.size - 1):
-        psi, h_next, status, ns = se_step(
-            psi, times[i], times[i + 1], H0, nenv, envs, mats, dt_env, t0_env,
-            rtol, atol, max_step, h_next, RK_A, RK_B, RK_C, RK_E)
-        total_steps += ns
-        if status == 1:
-            raise StepSizeUnderflow(f"step underflow at t = {times[i]:.4g} us")
-        if status == 2:
-            raise NonFiniteState(f"non-finite state at t = {times[i]:.4g} us")
         sample(psi)
+        for i in range(times.size - 1):
+            psi, h_next, status, ns = se_step(
+                psi, times[i], times[i + 1], H0, nenv, envs, mats, dt_env, t0_env,
+                rtol, atol, max_step, h_next, RK_A, RK_B, RK_C, RK_E)
+            total_steps += ns
+            if status == 1:
+                raise StepSizeUnderflow(f"step underflow at t = {times[i]:.4g} us")
+            if status == 2:
+                raise NonFiniteState(f"non-finite state at t = {times[i]:.4g} us")
+            sample(psi)
 
     k = Ket(psi, psi0.trunc)
     drift = abs(k.norm() - 1.0)

@@ -37,6 +37,9 @@ from .model import KerrCatParams, kerr_cat_hamiltonian, well_excitations
 from .units import MHZ
 
 FLOAT_FMT = "%.12g"
+# rabi-phase fits a rate only where the y-contrast is at least this fraction
+# of the sweep's largest; below it the trace is leakage noise and the rate is 0
+RABI_FIT_MIN_CONTRAST = 0.01
 
 
 def _fmt(x) -> str:
@@ -142,22 +145,21 @@ def exp_rabi_phase(ctx: RunContext) -> None:
     duration = float(p["duration_us"])
     thetas = np.linspace(0.0, math.pi, int(p["n_theta"]))
     frame = build_cat_frame(kerr_cat_hamiltonian(params, trunc))
+    runs = [simulate_z_rotation(params, omega_z, float(th), duration, trunc,
+                                n_samples=int(p["n_samples"]), frame=frame)
+            for th in thetas]
+    contrasts = [float(np.ptp(res.observables["y"])) for res in runs]
+    min_contrast = RABI_FIT_MIN_CONTRAST * max(contrasts)
     rows = []
-    theta0_series = None
-    for th in thetas:
-        res = simulate_z_rotation(params, omega_z, float(th), duration, trunc,
-                                  n_samples=int(p["n_samples"]), frame=frame)
-        y = res.observables["y"]
-        contrast = float(y.max() - y.min())
-        om = rabi_frequency(res.times, y) if contrast > 1e-6 else 0.0
+    for th, res, contrast in zip(thetas, runs, contrasts):
+        fitted = contrast >= min_contrast > 0.0
+        om = rabi_frequency(res.times, res.observables["y"]) if fitted else 0.0
         rows.append((th, om, contrast))
-        if theta0_series is None:
-            theta0_series = res
     ctx.write_csv("rabi_vs_phase.csv",
                   ["theta_rad", "rabi_rad_per_us", "contrast"], rows)
     ctx.write_csv("bloch_theta0.csv", ["t_us", "x", "y", "z"],
-                  zip(theta0_series.times, theta0_series.observables["x"],
-                      theta0_series.observables["y"], theta0_series.observables["z"]))
+                  zip(runs[0].times, runs[0].observables["x"],
+                      runs[0].observables["y"], runs[0].observables["z"]))
     om0 = rows[0][1]
     ctx.summaries.update({
         "rabi_theta0_rad_per_us": om0,

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -192,3 +193,20 @@ def test_seed_changes_shot_artifacts(tmp_path):
     h1 = next(f["sha256"] for f in rec1["files"] if f["name"] == "shots.csv")
     h2 = next(f["sha256"] for f in rec2["files"] if f["name"] == "shots.csv")
     assert h1 != h2
+
+
+# ------------------------------------------------------------- experiments
+
+def test_rabi_phase_rate_follows_cos_theta(tmp_path):
+    # the Zeno Rabi rate is Omega(0)|cos theta|: symmetric about pi/2, where
+    # only leakage noise is left and the rate reads 0
+    run_experiment("rabi-phase", {}, 1, 1.0, tmp_path)
+    lines = (tmp_path / "rabi_vs_phase.csv").read_text().splitlines()[1:]
+    rows = [tuple(float(x) for x in line.split(",")) for line in lines]
+    thetas = [r[0] for r in rows]
+    rates = [r[1] for r in rows]
+    assert rates[0] == pytest.approx(4.0, rel=1e-3)
+    assert rates == pytest.approx(rates[::-1], rel=1e-6)
+    assert rates[len(rates) // 2] == 0.0
+    for th, om in zip(thetas, rates):
+        assert om == pytest.approx(rates[0] * abs(math.cos(th)), abs=1e-3)

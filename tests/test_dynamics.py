@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrcat import (BathSpec, DetuningNoise, JumpTerm, KerrCatParams,
+from kerrcat import (BathSpec, DetuningNoise, JumpTerm, KerrCatParams, Ket,
                      Schedule, Truncation, annihilation, bose_einstein,
                      build_dephasing, build_full_dissipators,
                      build_nrwa_dissipators, build_rwa_dissipators, creation,
@@ -16,9 +16,11 @@ from kerrcat import (BathSpec, DetuningNoise, JumpTerm, KerrCatParams,
                      lifetime_T_C, liouvillian_matrix, nbar_time_avg,
                      number_operator, plateau_bath, standard_bath, tc_tradeoff)
 from kerrcat.dynamics import _lifetime_truncation
-from kerrcat.errors import (FitDiverged, NonPositiveTemperature, ZeroG3)
+from kerrcat.errors import (FitDiverged, NonPositiveTemperature, NotHermitian,
+                            ZeroG3)
 from kerrcat.fock import Operator
-from kerrcat.kernels import NOENV
+from kerrcat.kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, default_max_step,
+                             gershgorin_range, se_step)
 from kerrcat.units import MHZ
 
 K = MHZ * 1.2
@@ -167,6 +169,54 @@ def test_evolve_ket_matches_exponential_and_preserves_norm():
     want = scipy.linalg.expm(-1j * h.mat * times[-1]) @ psi0.amp
     assert np.max(np.abs(res.final_ket.amp - want)) < 1e-7
     assert res.final_ket.norm() == pytest.approx(1.0, abs=1e-7)
+
+
+@settings(deadline=None, max_examples=25)
+@given(dim=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       t0=st.floats(-1.0, 1.0),
+       gaps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
+def test_evolve_ket_constant_h_is_exact_at_every_sample(dim, seed, t0, gaps):
+    # the eigendecomposition path against expm(-iHt) psi0 and the RK stepper,
+    # on non-uniform sample times
+    rng = np.random.default_rng(seed)
+    tr = Truncation(dim)
+
+    def random_hermitian():
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return Operator((m + m.conj().T) / 2, tr, hermitian_hint=True)
+
+    h, obs = random_hermitian(), random_hermitian()
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 = Ket(amp / np.linalg.norm(amp), tr)
+    times = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+
+    res = evolve_ket(psi0, h, times, {"o": obs})
+    assert res.nsteps == 0
+    assert res.trace_drift < 1e-12
+    max_step = default_max_step(gershgorin_range(h.mat))
+    stepped, h_next = psi0.amp.copy(), max_step
+    for j, t in enumerate(times):
+        want = scipy.linalg.expm(-1j * h.mat * (t - times[0])) @ psi0.amp
+        if j:
+            stepped, h_next, status, _ = se_step(
+                stepped, times[j - 1], t, h.mat, *NOENV, 1e-11, 1e-13,
+                max_step, h_next, RK_A, RK_B, RK_C, RK_E)
+            assert status == 0
+            got = evolve_ket(psi0, h, times[:j + 1]).final_ket
+            assert np.max(np.abs(got.amp - want)) < 1e-7
+            assert np.max(np.abs(got.amp - stepped)) < 1e-7
+            assert abs(got.norm() - 1.0) < 1e-12
+        o_want = float(np.real(np.vdot(want, obs.mat @ want)))
+        o_stepped = float(np.real(np.vdot(stepped, obs.mat @ stepped)))
+        assert res.observables["o"][j] == pytest.approx(o_want, abs=1e-7)
+        assert res.observables["o"][j] == pytest.approx(o_stepped, abs=1e-7)
+
+
+def test_evolve_ket_rejects_non_hermitian_constant_h():
+    tr = Truncation(3)
+    h = Operator(np.triu(np.ones((3, 3))) * 1j, tr)
+    with pytest.raises(NotHermitian):
+        evolve_ket(fock_state(0, tr), h, np.array([0.0, 1.0]))
 
 
 def test_schedule_envelope_matches_folded_constant():
