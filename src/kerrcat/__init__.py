@@ -7,9 +7,10 @@ and parasitic baths, gate and readout simulation, process tomography, and
 microwave stub-filter design. The ``kerrcat`` console script exposes the
 named experiments.
 
-The integrator kernels are JIT-compiled when numba is installed (the ``jit``
-extra); set ``KERRCAT_NUMBA=0`` to run them as plain numpy, which produces
-identical results and is the path taken when numba is absent.
+Density matrices, and kets under a time-dependent schedule, are integrated
+by one adaptive Dormand-Prince stepper in plain numpy (``kerrcat.kernels``);
+a ket under a constant Hamiltonian is propagated exactly from one
+eigendecomposition of H instead.
 """
 
 __version__ = "0.1.0"

@@ -21,8 +21,9 @@ from .errors import (DimMismatch, FitDiverged, NonFiniteState,
                      ZeroG3)
 from .fock import (HERMITIAN_ATOL, DensityMatrix, Ket, Operator, Truncation,
                    annihilation, default_truncation, number_operator)
-from .kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, default_max_step,
-                      gershgorin_range, lb_step, se_step)
+from .kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, STATUS_NONFINITE,
+                      STATUS_UNDERFLOW, default_max_step, gershgorin_range,
+                      lb_step, se_step)
 from .model import KerrCatParams, SnailParams, kerr_cat_hamiltonian
 from .units import HBAR_OVER_KB_MK, MHZ
 
@@ -275,6 +276,14 @@ def _as_schedule(h) -> Schedule:
     raise TypeError(f"h must be Operator or Schedule, got {type(h)}")
 
 
+def _raise_on_status(status: int, t: float) -> None:
+    """Turn a failed stepper status for the window starting at t into its error."""
+    if status == STATUS_UNDERFLOW:
+        raise StepSizeUnderflow(f"step underflow at t = {t:.4g} us")
+    if status == STATUS_NONFINITE:
+        raise NonFiniteState(f"non-finite state at t = {t:.4g} us")
+
+
 def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None = None,
            rtol: float = 1e-8, atol: float = 1e-10, max_step_margin: float = 2.5,
            early_stop: tuple | None = None) -> EvolutionResult:
@@ -336,10 +345,7 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
             r, times[i], times[i + 1], G, Gd, Lst, nenv, envs, mats, dt_env,
             t0_env, rtol, atol, max_step, h_next, RK_A, RK_B, RK_C, RK_E)
         total_steps += ns
-        if status == 1:
-            raise StepSizeUnderflow(f"step underflow at t = {times[i]:.4g} us")
-        if status == 2:
-            raise NonFiniteState(f"non-finite state at t = {times[i]:.4g} us")
+        _raise_on_status(status, times[i])
         sample(r)
         kept += 1
         drift = max(drift, abs(float(np.real(np.trace(r))) - 1.0))
@@ -411,10 +417,7 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None,
                 psi, times[i], times[i + 1], H0, nenv, envs, mats, dt_env, t0_env,
                 rtol, atol, max_step, h_next, RK_A, RK_B, RK_C, RK_E)
             total_steps += ns
-            if status == 1:
-                raise StepSizeUnderflow(f"step underflow at t = {times[i]:.4g} us")
-            if status == 2:
-                raise NonFiniteState(f"non-finite state at t = {times[i]:.4g} us")
+            _raise_on_status(status, times[i])
             sample(psi)
 
     k = Ket(psi, psi0.trunc)

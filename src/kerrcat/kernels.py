@@ -1,12 +1,7 @@
-"""Hot numerical kernels: adaptive Dormand-Prince 4(5) steppers.
+"""Hot numerical kernels: one adaptive Dormand-Prince 4(5) stepper in numpy.
 
-The same source serves two backends. By default each kernel is compiled with
-``numba.njit(cache=True, nogil=True)``; setting the environment variable
-``KERRCAT_NUMBA=0`` (or running without numba installed) leaves the identical
-functions executing as plain vectorized numpy. Query the active backend with
-:func:`backend`.
-
-Two steppers are provided:
+:func:`_advance` holds the integration loop once; two entry points hand it
+the right-hand side of their problem as a closure:
 
 * :func:`lb_step` — density-matrix evolution under a Lindblad generator with
   constant Hamiltonian + jump terms plus optional time-dependent Hermitian
@@ -15,13 +10,11 @@ Two steppers are provided:
 * :func:`se_step` — state-vector evolution under the corresponding
   Hamiltonian-only dynamics.
 
-Both use the Dormand-Prince embedded 4(5) pair with FSAL, an RMS error norm
-with per-element scale ``atol + rtol*max(|y0|,|y1|)``, and step-size factors
-clipped to ``[0.2, 2.0]`` around ``0.9 * err^(-1/5)``.
+The loop uses the Dormand-Prince embedded 4(5) pair with FSAL, an RMS error
+norm with per-element scale ``atol + rtol*max(|y0|,|y1|)``, and step-size
+factors clipped to ``[0.2, 2.0]`` around ``0.9 * err^(-1/5)``.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -31,31 +24,9 @@ __all__ = [
 ]
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("KERRCAT_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
-_BACKEND = "numpy"
-if _numba_requested():
-    try:
-        from numba import njit as _njit
-
-        _BACKEND = "numba"
-    except ImportError:  # pragma: no cover - depends on environment
-        _BACKEND = "numpy"
-
-if _BACKEND == "numba":
-    def _jit(fn):
-        return _njit(cache=True, nogil=True)(fn)
-else:
-    def _jit(fn):
-        return fn
-
-
 def backend() -> str:
-    """Active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return _BACKEND
+    """Kernel backend; always ``"numpy"``."""
+    return "numpy"
 
 
 # Dormand-Prince 4(5) tableau. RK_E is the difference between the 5th-order
@@ -73,13 +44,8 @@ RK_E = RK_B - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 # Placeholder envelope arguments for purely autonomous evolutions.
-NOENV = (
-    0,
-    np.zeros((1, 2), dtype=np.complex128),
-    np.zeros((1, 1, 1), dtype=np.complex128),
-    0.0,
-    0.0,
-)
+NOENV = (0, np.zeros((1, 2), dtype=np.complex128),
+         np.zeros((1, 1, 1), dtype=np.complex128), 0.0, 0.0)
 
 STATUS_OK = 0
 STATUS_UNDERFLOW = 1
@@ -102,9 +68,6 @@ def _env_value(t, e, envs, dt_env, t0_env):
     return envs[e, 0]
 
 
-_env_value = _jit(_env_value)
-
-
 def _lb_rhs(t, rho, G, Gd, Ls, nenv, envs, mats, dt_env, t0_env):
     # G = -i H0 - (1/2) sum_k L_k† L_k with L_k pre-scaled by sqrt(rate).
     out = G @ rho + rho @ Gd
@@ -119,60 +82,6 @@ def _lb_rhs(t, rho, G, Gd, Ls, nenv, envs, mats, dt_env, t0_env):
     return out
 
 
-_lb_rhs = _jit(_lb_rhs)
-
-
-def lb_step(rho, t0, t1, G, Gd, Ls, nenv, envs, mats, dt_env, t0_env,
-            rtol, atol, max_step, h0, A, B, C, E):
-    """Advance a density matrix from t0 to t1.
-
-    Returns ``(rho, h_next, status, nsteps)`` with status 0 on success,
-    1 on step-size underflow, 2 on non-finite error estimate.
-    """
-    t = t0
-    h = min(h0, max_step, t1 - t0)
-    k = np.empty((7, rho.shape[0], rho.shape[1]), dtype=np.complex128)
-    k[0] = _lb_rhs(t, rho, G, Gd, Ls, nenv, envs, mats, dt_env, t0_env)
-    nsteps = 0
-    while t < t1:
-        if h > t1 - t:
-            h = t1 - t
-        for s in range(1, 7):
-            y = rho.copy()
-            for j in range(s):
-                if A[s, j] != 0.0:
-                    y += (h * A[s, j]) * k[j]
-            k[s] = _lb_rhs(t + C[s] * h, y, G, Gd, Ls, nenv, envs, mats,
-                           dt_env, t0_env)
-        y5 = rho.copy()
-        err = np.zeros_like(rho)
-        for j in range(7):
-            if B[j] != 0.0:
-                y5 += (h * B[j]) * k[j]
-            if E[j] != 0.0:
-                err += (h * E[j]) * k[j]
-        sc = atol + rtol * np.maximum(np.abs(rho), np.abs(y5))
-        enorm = np.sqrt(np.mean((np.abs(err) / sc) ** 2))
-        if not np.isfinite(enorm):
-            return rho, h, STATUS_NONFINITE, nsteps
-        if enorm <= 1.0:
-            t += h
-            rho = y5
-            k[0] = k[6]
-            fac = 2.0 if enorm == 0.0 else min(2.0, max(0.2, 0.9 * enorm ** -0.2))
-            h = min(h * fac, max_step)
-        else:
-            h *= max(0.2, 0.9 * enorm ** -0.2)
-            k[0] = _lb_rhs(t, rho, G, Gd, Ls, nenv, envs, mats, dt_env, t0_env)
-        nsteps += 1
-        if h < _MIN_STEP:
-            return rho, h, STATUS_UNDERFLOW, nsteps
-    return rho, h, STATUS_OK, nsteps
-
-
-lb_step = _jit(lb_step)
-
-
 def _se_rhs(t, psi, H0, nenv, envs, mats, dt_env, t0_env):
     out = -1j * (H0 @ psi)
     for e in range(nenv):
@@ -182,53 +91,67 @@ def _se_rhs(t, psi, H0, nenv, envs, mats, dt_env, t0_env):
     return out
 
 
-_se_rhs = _jit(_se_rhs)
-
-
-def se_step(psi, t0, t1, H0, nenv, envs, mats, dt_env, t0_env,
-            rtol, atol, max_step, h0, A, B, C, E):
-    """Advance a state vector from t0 to t1; same return contract as lb_step."""
+def _advance(rhs, y, t0, t1, rtol, atol, max_step, h0, A, B, C, E):
+    """Advance y' = rhs(t, y) from t0 to t1; same return contract as lb_step."""
     t = t0
     h = min(h0, max_step, t1 - t0)
-    k = np.empty((7, psi.shape[0]), dtype=np.complex128)
-    k[0] = _se_rhs(t, psi, H0, nenv, envs, mats, dt_env, t0_env)
+    k = np.empty((7,) + y.shape, dtype=np.complex128)
+    k[0] = rhs(t, y)
     nsteps = 0
     while t < t1:
         if h > t1 - t:
             h = t1 - t
         for s in range(1, 7):
-            y = psi.copy()
+            ys = y.copy()
             for j in range(s):
                 if A[s, j] != 0.0:
-                    y += (h * A[s, j]) * k[j]
-            k[s] = _se_rhs(t + C[s] * h, y, H0, nenv, envs, mats, dt_env, t0_env)
-        y5 = psi.copy()
-        err = np.zeros_like(psi)
+                    ys += (h * A[s, j]) * k[j]
+            k[s] = rhs(t + C[s] * h, ys)
+        y5 = y.copy()
+        err = np.zeros_like(y)
         for j in range(7):
             if B[j] != 0.0:
                 y5 += (h * B[j]) * k[j]
             if E[j] != 0.0:
                 err += (h * E[j]) * k[j]
-        sc = atol + rtol * np.maximum(np.abs(psi), np.abs(y5))
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         enorm = np.sqrt(np.mean((np.abs(err) / sc) ** 2))
         if not np.isfinite(enorm):
-            return psi, h, STATUS_NONFINITE, nsteps
+            return y, h, STATUS_NONFINITE, nsteps
         if enorm <= 1.0:
             t += h
-            psi = y5
+            y = y5
             k[0] = k[6]
             fac = 2.0 if enorm == 0.0 else min(2.0, max(0.2, 0.9 * enorm ** -0.2))
             h = min(h * fac, max_step)
         else:
             h *= max(0.2, 0.9 * enorm ** -0.2)
-            k[0] = _se_rhs(t, psi, H0, nenv, envs, mats, dt_env, t0_env)
+            k[0] = rhs(t, y)
         nsteps += 1
         if h < _MIN_STEP:
-            return psi, h, STATUS_UNDERFLOW, nsteps
-    return psi, h, STATUS_OK, nsteps
+            return y, h, STATUS_UNDERFLOW, nsteps
+    return y, h, STATUS_OK, nsteps
 
 
-se_step = _jit(se_step)
+def lb_step(rho, t0, t1, G, Gd, Ls, nenv, envs, mats, dt_env, t0_env,
+            rtol, atol, max_step, h0, A, B, C, E):
+    """Advance a density matrix from t0 to t1.
+
+    Returns ``(rho, h_next, status, nsteps)`` with status 0 on success,
+    1 on step-size underflow, 2 on non-finite error estimate; nsteps counts
+    accepted and rejected attempts.
+    """
+    return _advance(
+        lambda t, y: _lb_rhs(t, y, G, Gd, Ls, nenv, envs, mats, dt_env, t0_env),
+        rho, t0, t1, rtol, atol, max_step, h0, A, B, C, E)
+
+
+def se_step(psi, t0, t1, H0, nenv, envs, mats, dt_env, t0_env,
+            rtol, atol, max_step, h0, A, B, C, E):
+    """Advance a state vector from t0 to t1; same return contract as lb_step."""
+    return _advance(
+        lambda t, y: _se_rhs(t, y, H0, nenv, envs, mats, dt_env, t0_env),
+        psi, t0, t1, rtol, atol, max_step, h0, A, B, C, E)
 
 
 def gershgorin_range(H: np.ndarray) -> float:
@@ -250,23 +173,5 @@ def default_max_step(spectral_range: float, margin: float = 2.5) -> float:
 
 
 def warmup() -> str:
-    """Trigger kernel compilation on a tiny system; returns the backend name."""
-    dim = 3
-    rng = np.random.default_rng(0)
-    H = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    H = np.ascontiguousarray((H + H.conj().T) / 2)
-    L = np.ascontiguousarray(
-        rng.normal(size=(1, dim, dim)).astype(np.complex128))
-    G = -1j * H - 0.5 * (np.conj(L[0]).T @ L[0])
-    Gd = np.ascontiguousarray(G.conj().T)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    envs = np.ones((1, 4), dtype=np.complex128)
-    mats = np.ascontiguousarray(np.eye(dim, dtype=np.complex128).reshape(1, dim, dim))
-    lb_step(rho, 0.0, 0.01, G, Gd, L, 1, envs, mats, 0.005, 0.0,
-            1e-8, 1e-10, 0.01, 0.01, RK_A, RK_B, RK_C, RK_E)
-    psi = np.zeros(dim, dtype=np.complex128)
-    psi[0] = 1.0
-    se_step(psi, 0.0, 0.01, H, 1, envs, mats, 0.005, 0.0,
-            1e-8, 1e-10, 0.01, 0.01, RK_A, RK_B, RK_C, RK_E)
-    return _BACKEND
+    """No-op (the numpy kernels compile nothing); returns the backend name."""
+    return "numpy"

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from kerrcat import (BathSpec, DetuningNoise, JumpTerm, KerrCatParams, Ket,
                      Schedule, Truncation, annihilation, bose_einstein,
                      build_dephasing, build_full_dissipators,
-                     build_nrwa_dissipators, build_rwa_dissipators, creation,
+                     build_nrwa_dissipators, build_rwa_dissipators,
+                     coherent_state, creation,
                      default_snail, default_truncation, evolve, evolve_ket,
                      fit_exponential, fock_state, kerr_cat_hamiltonian,
                      lifetime_T_C, liouvillian_matrix, nbar_time_avg,
                      number_operator, plateau_bath, standard_bath, tc_tradeoff)
 from kerrcat.dynamics import _lifetime_truncation
-from kerrcat.errors import (FitDiverged, NonPositiveTemperature, NotHermitian,
-                            ZeroG3)
+from kerrcat.errors import (FitDiverged, NonFiniteState, NonPositiveTemperature,
+                            NotHermitian, StepSizeUnderflow, ZeroG3)
 from kerrcat.fock import Operator
 from kerrcat.kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, default_max_step,
                              gershgorin_range, se_step)
@@ -237,6 +238,33 @@ def test_schedule_envelope_matches_folded_constant():
                       hermitian_hint=True)
     res_fold = evolve_ket(psi0, folded, np.array([0.0, t1]))
     assert np.max(np.abs(res_env.final_ket.amp - res_fold.final_ket.amp)) < 1e-8
+
+
+@pytest.mark.parametrize("atol, error", [(1e-100, StepSizeUnderflow),
+                                         (1e-300, NonFiniteState)])
+def test_evolve_raises_on_stepper_failure(atol, error):
+    tr = Truncation(20)
+    a = annihilation(tr)
+    kerr = Operator(-(a.mat.conj().T @ a.mat.conj().T @ a.mat @ a.mat), tr,
+                    hermitian_hint=True)
+    rho0 = coherent_state(1.5, tr).to_density_matrix()
+    with np.errstate(over="ignore"), pytest.raises(error, match="at t = 0 us"):
+        evolve(rho0, kerr, [JumpTerm(a, 0.1)], np.array([0.0, 0.2, 0.4]),
+               rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("atol, error", [(1e-100, StepSizeUnderflow),
+                                         (1e-300, NonFiniteState)])
+def test_evolve_ket_envelope_raises_on_stepper_failure(atol, error):
+    dim = 5
+    tr = Truncation(dim)
+    rng = np.random.default_rng(1)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h0 = Operator(((m + m.conj().T) / 2).astype(complex), tr, hermitian_hint=True)
+    sched = Schedule(h0, [(np.full(13, 0.25 + 0.1j), Operator(m, tr))], dt=0.05)
+    with np.errstate(over="ignore"), pytest.raises(error, match="at t = 0 us"):
+        evolve_ket(fock_state(1, tr), sched, np.array([0.0, 0.3, 0.6]),
+                   rtol=0.0, atol=atol)
 
 
 def test_early_stop_truncates_trace():

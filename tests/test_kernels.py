@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kerrcat.kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, STATUS_OK, backend,
+from kerrcat.kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, STATUS_NONFINITE,
+                             STATUS_OK, STATUS_UNDERFLOW, backend,
                              default_max_step, gershgorin_range, lb_step,
                              se_step, warmup)
 
 
 def test_backend_reports_known_value():
-    assert backend() in ("numpy", "numba")
+    assert backend() == "numpy"
 
 
 def test_tableau_order_conditions():
@@ -113,3 +114,46 @@ def test_constant_envelope_equals_folded_hamiltonian():
                                1e-10, 1e-12, 0.02, 1e-3, RK_A, RK_B, RK_C, RK_E)
     assert s1 == STATUS_OK and s2 == STATUS_OK
     assert np.max(np.abs(with_env - folded)) < 1e-9
+
+
+def _step_both(rng, dim, rtol, atol, h0, corrupt=False):
+    """Run se_step and lb_step on one random system; return both results."""
+    h, ls = _random_system(rng, dim, 1)
+    h = h.astype(np.complex128)
+    larr = np.array(ls, dtype=np.complex128)
+    g = -1j * h - 0.5 * (ls[0].conj().T @ ls[0])
+    psi0 = np.zeros(dim, dtype=np.complex128)
+    psi0[0] = 1.0
+    rho0 = np.outer(psi0, psi0.conj())
+    if corrupt:
+        psi0[1] = np.nan
+        rho0[1, 1] = np.nan
+    return (se_step(psi0, 0.0, 0.5, h, *NOENV, rtol, atol, 0.05, h0,
+                    RK_A, RK_B, RK_C, RK_E),
+            lb_step(rho0, 0.0, 0.5, g, g.conj().T, larr, *NOENV, rtol, atol,
+                    0.05, h0, RK_A, RK_B, RK_C, RK_E))
+
+
+def test_unreachable_tolerance_underflows():
+    # With rtol = 0 and atol = 1e-100 every attempt is rejected and the step
+    # shrinks by the clipped factor 0.2 until it drops below 1e-14:
+    # 0.05 * 0.2**18 = 1.3e-14, 0.05 * 0.2**19 = 2.6e-15.
+    for y, h_next, status, nsteps in _step_both(np.random.default_rng(7), 4,
+                                                0.0, 1e-100, 0.05):
+        assert status == STATUS_UNDERFLOW
+        assert nsteps == 19
+        assert h_next == pytest.approx(0.05 * 0.2 ** 19)
+        assert np.all(np.isfinite(y))
+
+
+# A NaN entry in the state, or atol = 1e-300 with rtol = 0, where
+# (err / atol)**2 overflows to inf, leaves a non-finite error estimate.
+@pytest.mark.parametrize("rtol, atol, corrupt", [(1e-8, 1e-10, True),
+                                                 (0.0, 1e-300, False)])
+def test_nonfinite_error_estimate_stops_stepper(rtol, atol, corrupt):
+    with np.errstate(over="ignore"):
+        results = _step_both(np.random.default_rng(7), 4, rtol, atol, 1e-3,
+                             corrupt=corrupt)
+    for _, _, status, nsteps in results:
+        assert status == STATUS_NONFINITE
+        assert nsteps == 0
