@@ -7,10 +7,11 @@ and parasitic baths, gate and readout simulation, process tomography, and
 microwave stub-filter design. The ``kerrcat`` console script exposes the
 named experiments.
 
-Density matrices, and kets under a time-dependent schedule, are integrated
-by one adaptive Dormand-Prince stepper in plain numpy (``kerrcat.kernels``);
-a ket under a constant Hamiltonian is propagated exactly from one
-eigendecomposition of H instead.
+States under a time-dependent schedule are integrated by one adaptive
+Dormand-Prince stepper in plain numpy (``kerrcat.kernels``). Under a constant
+Hamiltonian a ket is propagated exactly from one eigendecomposition of H, and
+a density matrix by a Chebyshev expansion of exp(L dt) in the sparse
+Liouvillian.
 """
 
 __version__ = "0.1.0"

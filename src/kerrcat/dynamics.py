@@ -1,11 +1,13 @@
 """Lindblad master-equation integration, bath construction, and lifetime fits.
 
 Rates are plain 1/us (no 2π); frequencies entering Bose-Einstein factors are
-angular (rad/us). Density matrices, and kets under a schedule with envelopes,
+angular (rad/us). Under a schedule with envelopes, density matrices and kets
 are integrated by the adaptive embedded Runge-Kutta pair in
-:mod:`kerrcat.kernels`, verified in the tests against a matrix-exponential
-solution of the vectorized generator. A ket under a constant Hamiltonian is
-propagated exactly from the eigendecomposition of H.
+:mod:`kerrcat.kernels`. Under a constant Hamiltonian a ket is propagated
+exactly from the eigendecomposition of H, and a density matrix by a Chebyshev
+expansion of exp(L dt) in the sparse Liouvillian L. Both routes for density
+matrices are verified in the tests against a matrix-exponential solution of
+the vectorized generator.
 """
 from __future__ import annotations
 
@@ -13,7 +15,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import curve_fit
+from scipy.special import jv
 
 from .catframe import build_cat_frame
 from .errors import (DimMismatch, FitDiverged, NonFiniteState,
@@ -28,6 +32,11 @@ from .model import KerrCatParams, SnailParams, kerr_cat_hamiltonian
 from .units import HBAR_OVER_KB_MK, MHZ
 
 EVOLVE_PSD_ATOL = 1e-6
+# Chebyshev propagator: each substep tau keeps tau * (dissipator norm bound)
+# at most this, which bounds the growth of the Chebyshev terms by ~e^4; terms
+# whose Bessel coefficient is below CHEB_TAIL are dropped.
+CHEB_DAMPING_STEP = 4.0
+CHEB_TAIL = 1e-17
 FIT_FLOOR = 0.05
 LIFETIME_SENTINEL_DROP = 0.02
 
@@ -284,6 +293,62 @@ def _raise_on_status(status: int, t: float) -> None:
         raise NonFiniteState(f"non-finite state at t = {t:.4g} us")
 
 
+def _check_hermitian(H: np.ndarray) -> None:
+    dev = float(np.max(np.abs(H - H.conj().T)))
+    if dev > HERMITIAN_ATOL:
+        raise NotHermitian(f"constant H is not Hermitian: max |H - H†| = {dev:.3e}")
+
+
+def _lindblad_propagator(H: np.ndarray, Ls: list):
+    """Return propagate(v, dt) = exp(L dt) v for the constant generator
+    L = -i[H, .] + D on row-major vec(rho), D the dissipator of the
+    sqrt(rate)-scaled jump matrices Ls.
+
+    iL has its field of values in |Re z| <= R + d, |Im z| <= d, with R the
+    spectral range of H and d = max(||D||_1, ||D||_inf) >= ||D||_2. With
+    r = R + d, exp(tau L) = sum_k (2 - [k = 0]) (-i)^k J_k(tau r) T_k(iL / r)
+    (Chebyshev polynomials T_k, Bessel functions J_k), which needs about
+    tau r sparse matrix-vector products. Each window is split into substeps
+    with tau d <= CHEB_DAMPING_STEP, so the terms grow by at most ~e^4 and
+    round-off stays near machine precision. H must be Hermitian.
+    """
+    dim = H.shape[0]
+    eye = sparse.identity(dim, dtype=np.complex128, format="csr")
+    Hs = sparse.csr_matrix(H)
+    D = sparse.csr_matrix((dim * dim, dim * dim), dtype=np.complex128)
+    for L in Ls:
+        Lsp = sparse.csr_matrix(L)
+        LdL = Lsp.conj().T @ Lsp
+        D = D + sparse.kron(Lsp, Lsp.conj()) - 0.5 * (
+            sparse.kron(LdL, eye) + sparse.kron(eye, LdL.T))
+    absD = abs(D)
+    d = float(max(absD.sum(axis=0).max(), absD.sum(axis=1).max())) if D.nnz else 0.0
+    lam = np.linalg.eigvalsh(H)
+    r = float(lam[-1] - lam[0]) + d
+    if r == 0.0:  # zero generator: any positive scale gives the identity
+        r = 1.0
+    A = ((2j / r) * (-1j * (sparse.kron(Hs, eye) - sparse.kron(eye, Hs.T)) + D)).tocsr()
+
+    def propagate(v: np.ndarray, dt: float) -> np.ndarray:
+        nsub = max(1, math.ceil(dt * d / CHEB_DAMPING_STEP))
+        x = dt / nsub * r
+        k = np.arange(int(x + 60.0 + 10.0 * x ** (1.0 / 3.0)))
+        bessel = jv(k, x)
+        m = max(2, int(np.nonzero(np.abs(bessel) > CHEB_TAIL)[0][-1]) + 1)
+        coef = np.where(k[:m] == 0, 1.0, 2.0) * (-1j) ** k[:m] * bessel[:m]
+        for _ in range(nsub):
+            # T_0 v = v, T_1 v = (A/2) v, T_{k+1} v = A T_k v - T_{k-1} v
+            t_prev, t_cur = v, 0.5 * (A @ v)
+            acc = coef[0] * t_prev + coef[1] * t_cur
+            for c in coef[2:]:
+                t_prev, t_cur = t_cur, A @ t_cur - t_prev
+                acc += c * t_cur
+            v = acc
+        return v
+
+    return propagate
+
+
 def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None = None,
            rtol: float = 1e-8, atol: float = 1e-10, max_step_margin: float = 2.5,
            early_stop: tuple | None = None) -> EvolutionResult:
@@ -294,7 +359,14 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     early_stop: optional (observable_name, threshold) — stop sampling once
     that observable falls below threshold (used by lifetime fits).
 
-    Raises StepSizeUnderflow / NonFiniteState on integrator failure.
+    A constant Hamiltonian (an Operator, or a Schedule without envelopes) is
+    propagated window by window with a Chebyshev expansion of exp(L dt) in
+    the sparse Liouvillian, accurate to about machine precision for any
+    increasing t_span; nsteps is then 0. rtol, atol and max_step_margin apply
+    only to schedules with envelopes, which the adaptive stepper integrates.
+
+    Raises NotHermitian for a constant H that is not Hermitian, and
+    StepSizeUnderflow / NonFiniteState on integrator failure.
     """
     sched = _as_schedule(h)
     times = np.asarray(t_span, dtype=float)
@@ -308,28 +380,43 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
         if op.dim != dim:
             raise DimMismatch(f"observable {name!r} dim mismatch")
 
-    Ls = [j.scaled_matrix() for j in jumps if j.rate > 0.0]
     for j in jumps:
         if j.operator.dim != dim:
             raise DimMismatch("jump operator dim mismatch")
-    if Ls:
-        Lst = np.ascontiguousarray(np.array(Ls, dtype=np.complex128))
-    else:
-        Lst = np.zeros((0, dim, dim), dtype=np.complex128)
-    Msum = np.zeros((dim, dim), dtype=np.complex128)
-    for L in Ls:
-        Msum += L.conj().T @ L
-    G = np.ascontiguousarray(-1j * sched.h0.mat - 0.5 * Msum)
-    Gd = np.ascontiguousarray(G.conj().T)
+    Ls = [j.scaled_matrix() for j in jumps if j.rate > 0.0]
 
-    bound = (gershgorin_range(sched.h0.mat) + sched.drive_bound()
-             + float(np.max(np.sum(np.abs(Msum), axis=1))))
-    max_step = default_max_step(bound, max_step_margin)
-    nenv, envs, mats, dt_env, t0_env = sched.packed()
+    if not sched.envelopes:
+        _check_hermitian(sched.h0.mat)
+        propagate = _lindblad_propagator(sched.h0.mat, Ls)
+
+        def window(rho, t0, t1):
+            return propagate(rho.reshape(-1), t1 - t0).reshape(dim, dim), 0
+    else:
+        if Ls:
+            Lst = np.ascontiguousarray(np.array(Ls, dtype=np.complex128))
+        else:
+            Lst = np.zeros((0, dim, dim), dtype=np.complex128)
+        Msum = np.zeros((dim, dim), dtype=np.complex128)
+        for L in Ls:
+            Msum += L.conj().T @ L
+        G = np.ascontiguousarray(-1j * sched.h0.mat - 0.5 * Msum)
+        Gd = np.ascontiguousarray(G.conj().T)
+        bound = (gershgorin_range(sched.h0.mat) + sched.drive_bound()
+                 + float(np.max(np.sum(np.abs(Msum), axis=1))))
+        max_step = default_max_step(bound, max_step_margin)
+        nenv, envs, mats, dt_env, t0_env = sched.packed()
+        h_next = max_step
+
+        def window(rho, t0, t1):
+            nonlocal h_next
+            rho, h_next, status, ns = lb_step(
+                rho, t0, t1, G, Gd, Lst, nenv, envs, mats, dt_env, t0_env,
+                rtol, atol, max_step, h_next, RK_A, RK_B, RK_C, RK_E)
+            _raise_on_status(status, t0)
+            return rho, ns
 
     series: dict = {name: [] for name in observables}
     r = rho0.mat.astype(np.complex128).copy()
-    h_next = max_step
     total_steps = 0
     drift = abs(float(np.real(np.trace(r))) - 1.0)
     kept = 1
@@ -341,11 +428,8 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     sample(r)
     stop_name, stop_thresh = early_stop if early_stop else (None, None)
     for i in range(times.size - 1):
-        r, h_next, status, ns = lb_step(
-            r, times[i], times[i + 1], G, Gd, Lst, nenv, envs, mats, dt_env,
-            t0_env, rtol, atol, max_step, h_next, RK_A, RK_B, RK_C, RK_E)
+        r, ns = window(r, times[i], times[i + 1])
         total_steps += ns
-        _raise_on_status(status, times[i])
         sample(r)
         kept += 1
         drift = max(drift, abs(float(np.real(np.trace(r))) - 1.0))
@@ -390,9 +474,7 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None,
     H0 = np.ascontiguousarray(sched.h0.mat)
 
     if not sched.envelopes:
-        dev = float(np.max(np.abs(H0 - H0.conj().T)))
-        if dev > HERMITIAN_ATOL:
-            raise NotHermitian(f"constant H is not Hermitian: max |H - H†| = {dev:.3e}")
+        _check_hermitian(H0)
         lam, V = np.linalg.eigh(H0)
         phases = np.exp(-1j * np.outer(times - times[0], lam))
         psis = (phases * (V.conj().T @ psi)) @ V.T  # row j is psi(times[j])
@@ -542,8 +624,8 @@ def _lifetime_truncation(p: KerrCatParams, trunc: Truncation | None) -> Truncati
 def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
                      noise: DetuningNoise | None, t_max: float,
                      seed: int | None = None, trunc: Truncation | None = None,
-                     nwindows: int = 160, early_stop: float = 0.12,
-                     rtol: float = 1e-8, atol: float = 1e-10) -> tuple[float, float]:
+                     nwindows: int = 160,
+                     early_stop: float = 0.12) -> tuple[float, float]:
     """Pointer-state lifetime: prepare |+alpha>-like pointer state, track the
     well-polarization <Z> averaged over quasi-static detuning draws, fit a
     single exponential. Returns (T_alpha, fit residual RMS); T_alpha = inf
@@ -562,7 +644,6 @@ def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
         frame = build_cat_frame(h)
         rho0 = frame.w_plus.to_density_matrix()
         res = evolve(rho0, h, bath_jumps, times, {"z": frame.z},
-                     rtol=rtol, atol=atol,
                      early_stop=("z", early_stop) if noise.trials == 1 else None)
         z = res.observables["z"]
         if acc is None:
@@ -580,8 +661,7 @@ def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
 
 def lifetime_T_C(params: KerrCatParams, bath_jumps: list, t_max: float,
                  seed: int | None = None, trunc: Truncation | None = None,
-                 nwindows: int = 120, rtol: float = 1e-8,
-                 atol: float = 1e-10) -> tuple[float, float]:
+                 nwindows: int = 120) -> tuple[float, float]:
     """Cat-superposition lifetime: prepare the even-parity manifold state,
     track <X> (even minus odd projector weight), fit exponential-plus-offset
     (alternating-parity loss rates leave a nonzero steady X). Returns
@@ -594,7 +674,7 @@ def lifetime_T_C(params: KerrCatParams, bath_jumps: list, t_max: float,
     frame = build_cat_frame(h)
     rho0 = frame.v_even.to_density_matrix()
     times = np.linspace(0.0, t_max, nwindows + 1)
-    res = evolve(rho0, h, bath_jumps, times, {"x": frame.x}, rtol=rtol, atol=atol)
+    res = evolve(rho0, h, bath_jumps, times, {"x": frame.x})
     x = res.observables["x"]
     if x[0] - x.min() < LIFETIME_SENTINEL_DROP:
         return math.inf, 0.0
@@ -615,8 +695,7 @@ class DetuningSweepResult:
 def detuning_lifetime_sweep(params: KerrCatParams, bath_jumps: list,
                             delta_grid, t_max: float,
                             trunc: Truncation | None = None,
-                            nwindows: int = 120, rtol: float = 1e-8,
-                            atol: float = 1e-10) -> DetuningSweepResult:
+                            nwindows: int = 120) -> DetuningSweepResult:
     """lifetime_T_alpha at each static detuning on the grid (single trial,
     no disorder); reports interior local maxima of T_alpha(delta)."""
     deltas = np.asarray(delta_grid, dtype=float)
@@ -626,7 +705,7 @@ def detuning_lifetime_sweep(params: KerrCatParams, bath_jumps: list,
         p_i = KerrCatParams(K=params.K, eps2=params.eps2,
                             detuning=params.detuning + float(d))
         t_i, e_i = lifetime_T_alpha(p_i, bath_jumps, None, t_max, trunc=trunc,
-                                    nwindows=nwindows, rtol=rtol, atol=atol)
+                                    nwindows=nwindows)
         ts[i], errs[i] = t_i, e_i
     maxima = [i for i in range(1, deltas.size - 1)
               if ts[i] > ts[i - 1] and ts[i] > ts[i + 1]]

@@ -7,8 +7,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrcat import (BathSpec, DetuningNoise, JumpTerm, KerrCatParams, Ket,
-                     Schedule, Truncation, annihilation, bose_einstein,
+from kerrcat import (BathSpec, DensityMatrix, DetuningNoise, JumpTerm,
+                     KerrCatParams, Ket, Schedule, Truncation, annihilation,
+                     bose_einstein,
                      build_dephasing, build_full_dissipators,
                      build_nrwa_dissipators, build_rwa_dissipators,
                      coherent_state, creation,
@@ -158,6 +159,57 @@ def test_evolve_preserves_trace_and_positivity():
     assert res.observables["n"].shape == (6,)
 
 
+@settings(deadline=None, max_examples=25)
+@given(dim=st.integers(2, 8), njump=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), rate_scale=st.sampled_from([0.1, 1.0, 30.0]),
+       t0=st.floats(-1.0, 1.0),
+       gaps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
+def test_evolve_constant_generator_matches_expm_and_stepper(dim, njump, seed,
+                                                            rate_scale, t0, gaps):
+    # the Chebyshev propagator against expm of the dense Liouvillian and
+    # against the RK stepper (reached through an all-zero envelope), on
+    # non-uniform sample times; rate_scale 30 makes windows split into substeps
+    rng = np.random.default_rng(seed)
+    tr = Truncation(dim)
+    h, jumps = _random_lindblad(rng, dim, njump)
+    jumps = [JumpTerm(j.operator, j.rate * rate_scale) for j in jumps]
+    obs = number_operator(tr)
+    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = b @ b.conj().T
+    rho0 = DensityMatrix((rho / np.trace(rho).real).astype(complex), tr)
+    times = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+
+    res = evolve(rho0, h, jumps, times, {"n": obs})
+    stepped = evolve(rho0, Schedule(h, [(np.zeros(2), obs)]), jumps, times,
+                     {"n": obs}, rtol=1e-11, atol=1e-13)
+    assert res.nsteps == 0 and stepped.nsteps > 0
+    sup = liouvillian_matrix(h, jumps)
+    for j, t in enumerate(times):
+        want = (scipy.linalg.expm(sup * (t - times[0]))
+                @ rho0.mat.reshape(-1)).reshape(dim, dim)
+        n_want = float(np.real(np.trace(obs.mat @ want)))
+        assert res.observables["n"][j] == pytest.approx(n_want, abs=1e-9)
+        assert stepped.observables["n"][j] == pytest.approx(n_want, abs=1e-7)
+    assert np.max(np.abs(res.final_state.mat - want)) < 1e-9
+    assert np.max(np.abs(stepped.final_state.mat - want)) < 1e-7
+    assert res.trace_drift < 1e-10
+
+
+def test_evolve_zero_generator_keeps_state():
+    tr = Truncation(4)
+    h = Operator(np.zeros((4, 4), dtype=complex), tr, hermitian_hint=True)
+    rho0 = fock_state(2, tr).to_density_matrix()
+    res = evolve(rho0, h, [], np.array([0.0, 0.5, 3.0]))
+    assert np.max(np.abs(res.final_state.mat - rho0.mat)) < 1e-15
+
+
+def test_evolve_rejects_non_hermitian_constant_h():
+    tr = Truncation(3)
+    h = Operator(np.triu(np.ones((3, 3))) * 1j, tr)
+    with pytest.raises(NotHermitian):
+        evolve(fock_state(0, tr).to_density_matrix(), h, [], np.array([0.0, 1.0]))
+
+
 def test_evolve_ket_matches_exponential_and_preserves_norm():
     rng = np.random.default_rng(9)
     dim = 6
@@ -248,8 +300,10 @@ def test_evolve_raises_on_stepper_failure(atol, error):
     kerr = Operator(-(a.mat.conj().T @ a.mat.conj().T @ a.mat @ a.mat), tr,
                     hermitian_hint=True)
     rho0 = coherent_state(1.5, tr).to_density_matrix()
+    # a zero envelope keeps the generator constant but routes it to the stepper
+    sched = Schedule(kerr, [(np.zeros(9), a)], dt=0.05)
     with np.errstate(over="ignore"), pytest.raises(error, match="at t = 0 us"):
-        evolve(rho0, kerr, [JumpTerm(a, 0.1)], np.array([0.0, 0.2, 0.4]),
+        evolve(rho0, sched, [JumpTerm(a, 0.1)], np.array([0.0, 0.2, 0.4]),
                rtol=0.0, atol=atol)
 
 
