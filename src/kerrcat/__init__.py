@@ -7,11 +7,12 @@ and parasitic baths, gate and readout simulation, process tomography, and
 microwave stub-filter design. The ``kerrcat`` console script exposes the
 named experiments.
 
-States under a time-dependent schedule are integrated by one adaptive
-Dormand-Prince stepper in plain numpy (``kerrcat.kernels``). Under a constant
-Hamiltonian a ket is propagated exactly from one eigendecomposition of H, and
-a density matrix by a Chebyshev expansion of exp(L dt) in the sparse
-Liouvillian.
+Kets under a time-dependent schedule are integrated by a fourth-order
+commutator-free exponential scheme on the envelope grid, and density
+matrices by one adaptive Dormand-Prince stepper in plain numpy
+(``kerrcat.kernels``). Under a constant Hamiltonian a ket is propagated
+exactly from one eigendecomposition of H, and a density matrix by a
+Chebyshev expansion of exp(L dt) in the sparse Liouvillian.
 """
 
 __version__ = "0.1.0"

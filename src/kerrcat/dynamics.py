@@ -1,13 +1,23 @@
 """Lindblad master-equation integration, bath construction, and lifetime fits.
 
 Rates are plain 1/us (no 2π); frequencies entering Bose-Einstein factors are
-angular (rad/us). Under a schedule with envelopes, density matrices and kets
-are integrated by the adaptive embedded Runge-Kutta pair in
-:mod:`kerrcat.kernels`. Under a constant Hamiltonian a ket is propagated
-exactly from the eigendecomposition of H, and a density matrix by a Chebyshev
-expansion of exp(L dt) in the sparse Liouvillian L. Both routes for density
-matrices are verified in the tests against a matrix-exponential solution of
-the vectorized generator.
+angular (rad/us). Each class of problem has one route:
+
+* a ket under a constant Hamiltonian is propagated exactly from the
+  eigendecomposition of H;
+* a ket under a schedule with envelopes is integrated by the fourth-order
+  commutator-free exponential scheme CF4 on the envelope grid, each
+  exponential a Chebyshev series (:func:`_cf4_kets`, which also advances a
+  block of kets at once for the gate chevron);
+* a density matrix under a constant Hamiltonian is propagated by a Chebyshev
+  expansion of exp(L dt) in the sparse Liouvillian L;
+* a density matrix under a schedule with envelopes is integrated by the
+  adaptive embedded Runge-Kutta pair in :mod:`kerrcat.kernels`.
+
+The two Chebyshev routes share one series (:func:`_chebyshev_series`). The
+tests check the ket routes against ``expm`` and ``solve_ivp`` and the density
+matrix routes against a matrix-exponential solution of the vectorized
+generator.
 """
 from __future__ import annotations
 
@@ -27,7 +37,7 @@ from .fock import (HERMITIAN_ATOL, DensityMatrix, Ket, Operator, Truncation,
                    annihilation, default_truncation, number_operator)
 from .kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, STATUS_NONFINITE,
                       STATUS_UNDERFLOW, default_max_step, gershgorin_range,
-                      lb_step, se_step)
+                      lb_step)
 from .model import KerrCatParams, SnailParams, kerr_cat_hamiltonian
 from .units import HBAR_OVER_KB_MK, MHZ
 
@@ -37,6 +47,15 @@ EVOLVE_PSD_ATOL = 1e-6
 # whose Bessel coefficient is below CHEB_TAIL are dropped.
 CHEB_DAMPING_STEP = 4.0
 CHEB_TAIL = 1e-17
+# Sample times may pass the ends of an envelope grid, and may sit off a grid
+# point, by this fraction of the grid spacing (rounding of t0 + j dt).
+SPAN_RTOL = 1e-9
+# CF4: Gauss-Legendre nodes of an interval, and the matrix taking the envelope
+# at those nodes to the weights of the two exponentials (a1 = 1/4 + sqrt(3)/6,
+# a2 = 1/4 - sqrt(3)/6).
+CF4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+CF4_MIX = np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0],
+                    [0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0]])
 FIT_FLOOR = 0.05
 LIFETIME_SENTINEL_DROP = 0.02
 
@@ -215,8 +234,10 @@ def default_snail() -> SnailParams:
 class Schedule:
     """Time-dependent Hamiltonian H(t) = h0 + sum_e c_e(t) M_e + c_e*(t) M_e†.
 
-    Envelopes are complex samples on one shared uniform grid starting at t0
-    with spacing dt; the integrator interpolates linearly between samples.
+    Envelopes are complex samples on one shared uniform grid t0 + j dt,
+    j = 0 .. nsamp - 1, and are linear between samples. Evolution is defined
+    on that grid only: evolve() and evolve_ket() reject sample times outside
+    [t0, t0 + (nsamp - 1) dt].
     """
 
     h0: Operator
@@ -227,32 +248,39 @@ class Schedule:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        nsamp = None
+        arrays = []
         for env, op in self.envelopes:
             env = np.asarray(env, dtype=np.complex128)
             if op.dim != self.h0.dim:
                 raise DimMismatch("envelope operator dim mismatch")
-            if nsamp is None:
-                nsamp = env.size
-            elif env.size != nsamp:
+            if env.ndim != 1 or env.size < 2:
+                raise ValueError("an envelope needs a 1-d array of >= 2 samples")
+            if not np.all(np.isfinite(env)):
+                raise ValueError("envelope samples must be finite")
+            if arrays and env.size != arrays[0].size:
                 raise ValueError("all envelopes must share one sample grid")
+            arrays.append(env)
+        self.envelopes = [(env, op) for env, (_, op) in zip(arrays, self.envelopes)]
+
+    def check_span(self, times: np.ndarray) -> None:
+        """Raise ValueError unless the envelope grid covers the sample times,
+        up to SPAN_RTOL * dt of rounding at either end."""
+        if not self.envelopes:
+            return
+        t_end = self.t0 + (self.envelopes[0][0].size - 1) * self.dt
+        tol = SPAN_RTOL * self.dt
+        if times[0] < self.t0 - tol or times[-1] > t_end + tol:
+            raise ValueError(
+                f"t_span [{times[0]:.6g}, {times[-1]:.6g}] leaves the envelope grid "
+                f"[{self.t0:.6g}, {t_end:.6g}]")
 
     def packed(self):
         nenv = len(self.envelopes)
-        dim = self.h0.dim
         if nenv == 0:
             return NOENV
-        nsamp = max(2, int(np.asarray(self.envelopes[0][0]).size))
-        envs = np.zeros((nenv, nsamp), dtype=np.complex128)
-        mats = np.zeros((nenv, dim, dim), dtype=np.complex128)
-        for e, (env, op) in enumerate(self.envelopes):
-            arr = np.asarray(env, dtype=np.complex128)
-            envs[e, :arr.size] = arr
-            if arr.size == 1:
-                envs[e, 1] = arr[0]
-            mats[e] = op.mat
-        return nenv, np.ascontiguousarray(envs), np.ascontiguousarray(mats), \
-            float(self.dt), float(self.t0)
+        envs = np.array([env for env, _ in self.envelopes])
+        mats = np.array([op.mat for _, op in self.envelopes], dtype=np.complex128)
+        return nenv, envs, mats, float(self.dt), float(self.t0)
 
     def drive_bound(self) -> float:
         """Adds to the spectral-range bound used for the step-size ceiling."""
@@ -296,7 +324,29 @@ def _raise_on_status(status: int, t: float) -> None:
 def _check_hermitian(H: np.ndarray) -> None:
     dev = float(np.max(np.abs(H - H.conj().T)))
     if dev > HERMITIAN_ATOL:
-        raise NotHermitian(f"constant H is not Hermitian: max |H - H†| = {dev:.3e}")
+        raise NotHermitian(f"H is not Hermitian: max |H - H†| = {dev:.3e}")
+
+
+def _bessel_weights(x: float) -> np.ndarray:
+    """Weights w_k = (2 - [k = 0]) (-i)^k J_k(x) of the Chebyshev series
+    exp(-i x X) = sum_k w_k T_k(X) for X with spectrum in [-1, 1] (see
+    _lindblad_propagator for a dissipative X); terms with |J_k(x)| below
+    CHEB_TAIL are dropped."""
+    k = np.arange(int(x + 60.0 + 10.0 * x ** (1.0 / 3.0)))
+    bessel = jv(k, x)
+    m = max(2, int(np.nonzero(np.abs(bessel) > CHEB_TAIL)[0][-1]) + 1)
+    return np.where(k[:m] == 0, 1.0, 2.0) * (-1j) ** k[:m] * bessel[:m]
+
+
+def _chebyshev_series(apply_a, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(A/2) v, given apply_a(u) = A u."""
+    # T_0 v = v, T_1 v = (A/2) v, T_{k+1} v = A T_k v - T_{k-1} v
+    t_prev, t_cur = v, 0.5 * apply_a(v)
+    acc = coef[0] * t_prev + coef[1] * t_cur
+    for c in coef[2:]:
+        t_prev, t_cur = t_cur, apply_a(t_cur) - t_prev
+        acc += c * t_cur
+    return acc
 
 
 def _lindblad_propagator(H: np.ndarray, Ls: list):
@@ -331,22 +381,98 @@ def _lindblad_propagator(H: np.ndarray, Ls: list):
 
     def propagate(v: np.ndarray, dt: float) -> np.ndarray:
         nsub = max(1, math.ceil(dt * d / CHEB_DAMPING_STEP))
-        x = dt / nsub * r
-        k = np.arange(int(x + 60.0 + 10.0 * x ** (1.0 / 3.0)))
-        bessel = jv(k, x)
-        m = max(2, int(np.nonzero(np.abs(bessel) > CHEB_TAIL)[0][-1]) + 1)
-        coef = np.where(k[:m] == 0, 1.0, 2.0) * (-1j) ** k[:m] * bessel[:m]
+        coef = _bessel_weights(dt / nsub * r)
         for _ in range(nsub):
-            # T_0 v = v, T_1 v = (A/2) v, T_{k+1} v = A T_k v - T_{k-1} v
-            t_prev, t_cur = v, 0.5 * (A @ v)
-            acc = coef[0] * t_prev + coef[1] * t_cur
-            for c in coef[2:]:
-                t_prev, t_cur = t_cur, A @ t_cur - t_prev
-                acc += c * t_cur
-            v = acc
+            v = _chebyshev_series(lambda u: A @ u, v, coef)
         return v
 
     return propagate
+
+
+def _cf4_kets(sched: Schedule, envs: np.ndarray, times: np.ndarray,
+              psi: np.ndarray) -> tuple[np.ndarray, int]:
+    """Advance the columns of psi (dim x nb) through
+    H_b(t) = h0 + sum_e c_eb(t) M_e + c_eb*(t) M_e† with the fourth-order
+    commutator-free exponential integrator CF4 (Blanes & Moan, Appl. Numer.
+    Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930
+    (2011)).
+
+    Every column shares h0, the envelope operators M_e and the envelope grid
+    of sched; envs (nenv x nb x nsamp) holds each column's own samples. The
+    intervals are those of the envelope grid, cut at every sample time, so
+    the envelope is linear on each. An interval of length h is
+    exp(-i h (h0/2 + sum_e w2_e M_e + h.c.)) exp(-i h (h0/2 + sum_e w1_e M_e + h.c.))
+    with w1 = a1 c1 + a2 c2, w2 = a2 c1 + a1 c2, a1,2 = 1/4 ± sqrt(3)/6 and
+    c1, c2 the envelope at the Gauss points 1/2 ∓ sqrt(3)/6 of the interval;
+    its error is fifth order in h. Each exponential is a Chebyshev series
+    whose spectral bound, the range of h0 from eigvalsh plus
+    max |w_e| (||M_e||_1 + ||M_e||_inf) per envelope, is taken once per call.
+
+    Returns the states at every sample time (ntimes x dim x nb) and the
+    number of intervals taken. h0 must be Hermitian.
+    """
+    sched.check_span(times)
+    H0 = sched.h0.mat
+    dim, nb, nsamp = H0.shape[0], psi.shape[1], envs.shape[-1]
+    tol = SPAN_RTOL * sched.dt
+    grid = sched.t0 + sched.dt * np.arange(nsamp)
+    inner = grid[(grid > times[0] + tol) & (grid < times[-1] - tol)]
+    j = np.searchsorted(times, inner)
+    inner = inner[np.minimum(inner - times[j - 1], times[j] - inner) > tol]
+    cuts = np.union1d(times, inner)
+    steps = np.diff(cuts)
+
+    # envelope at both Gauss points of every interval: (nenv, nb, nint, 2)
+    x = (cuts[:-1, None] + steps[:, None] * CF4_NODES - sched.t0) / sched.dt
+    i = np.minimum(x.astype(int), nsamp - 2)
+    f = x - i
+    c = envs[..., i] * (1.0 - f) + envs[..., i + 1] * f
+    w = c @ CF4_MIX  # [..., 0] weighs the first exponential, [..., 1] the second
+
+    # w M + w* M† = Re(w) (M + M†) + Im(w) i(M - M†): Hermitian parts with
+    # real weights; a part whose operator or weights vanish is dropped
+    lam = np.linalg.eigvalsh(H0)
+    center = 0.25 * (lam[0] + lam[-1])
+    radius = 0.25 * (lam[-1] - lam[0])
+    parts = []
+    for e, (_, op) in enumerate(sched.envelopes):
+        M = op.mat
+        radius += float(np.max(np.abs(w[e]))) * (
+            np.abs(M).sum(axis=0).max() + np.abs(M).sum(axis=1).max())
+        for mat, wt in ((M + M.conj().T, w[e].real), (1j * (M - M.conj().T), w[e].imag)):
+            if np.any(mat) and np.any(wt):
+                parts.append((mat, wt))
+    if radius == 0.0:  # zero generator: any positive scale gives the identity
+        radius = 1.0
+    # for the Hamiltonian H of either exponential, A = 2 (H - center) / radius
+    # has its spectrum in [-2, 2]
+    stack = np.concatenate([(H0 - 2.0 * center * np.eye(dim)) / radius]
+                           + [(2.0 / radius) * mat for mat, _ in parts])
+    weights = np.zeros((len(parts), nb, 2 * steps.size))
+    for q, (_, wt) in enumerate(parts):
+        weights[q] = wt.reshape(nb, -1)
+
+    states = np.empty((times.size, dim, nb), dtype=np.complex128)
+    states[0] = psi
+    sample = np.searchsorted(cuts, times)
+    nxt = 1
+    coefs: dict = {}
+    for k, h in enumerate(steps):
+        if h not in coefs:
+            coefs[h] = (np.exp(-1j * h * center), _bessel_weights(h * radius))
+        phase, coef = coefs[h]
+        for wk in (weights[:, :, 2 * k], weights[:, :, 2 * k + 1]):
+            def apply_a(u, wk=wk):
+                p = (stack @ u).reshape(-1, dim, nb)
+                out = p[0]
+                for q in range(len(parts)):
+                    out = out + wk[q] * p[q + 1]
+                return out
+            psi = phase * _chebyshev_series(apply_a, psi, coef)
+        if sample[nxt] == k + 1:
+            states[nxt] = psi
+            nxt += 1
+    return states, steps.size
 
 
 def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None = None,
@@ -365,13 +491,15 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     increasing t_span; nsteps is then 0. rtol, atol and max_step_margin apply
     only to schedules with envelopes, which the adaptive stepper integrates.
 
-    Raises NotHermitian for a constant H that is not Hermitian, and
-    StepSizeUnderflow / NonFiniteState on integrator failure.
+    Raises NotHermitian for a constant H that is not Hermitian, ValueError
+    for sample times outside the envelope grid, and StepSizeUnderflow /
+    NonFiniteState on integrator failure.
     """
     sched = _as_schedule(h)
     times = np.asarray(t_span, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("t_span must be an increasing 1-d array of >= 2 times")
+    sched.check_span(times)
     dim = sched.h0.dim
     if rho0.dim != dim:
         raise DimMismatch(f"state dim {rho0.dim} vs hamiltonian dim {dim}")
@@ -447,20 +575,22 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     )
 
 
-def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None,
-               rtol: float = 1e-8, atol: float = 1e-10,
-               max_step_margin: float = 2.5) -> EvolutionResult:
+def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> EvolutionResult:
     """Closed-system counterpart of evolve() for pure states.
 
     A constant Hamiltonian (an Operator, or a Schedule without envelopes) is
     propagated exactly: H = V diag(lam) V† is diagonalised once and every
     sample is psi(t) = V diag(exp(-i lam (t - t0))) V† psi0, for any
-    increasing t_span, uniform or not; nsteps is then 0. rtol, atol and
-    max_step_margin apply only to schedules with envelopes, which the
-    adaptive stepper integrates.
+    increasing t_span, uniform or not; nsteps is then 0.
 
-    Raises NotHermitian for a constant H that is not Hermitian, and
-    StepSizeUnderflow / NonFiniteState on integrator failure.
+    A schedule with envelopes is integrated by the fourth-order
+    commutator-free exponential scheme CF4 on the envelope grid, cut at every
+    sample time: two Chebyshev-series exponentials per interval, with an
+    error fifth order in the interval length. nsteps is then the number of
+    CF4 intervals taken. t_span must lie on the envelope grid.
+
+    Raises NotHermitian for an h0 that is not Hermitian, and ValueError for
+    sample times outside the envelope grid.
     """
     sched = _as_schedule(h)
     times = np.asarray(t_span, dtype=float)
@@ -471,42 +601,26 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None,
         raise DimMismatch(f"state dim {psi0.dim} vs hamiltonian dim {dim}")
     observables = observables or {}
     psi = psi0.amp.astype(np.complex128)
-    H0 = np.ascontiguousarray(sched.h0.mat)
+    H0 = sched.h0.mat
+    _check_hermitian(H0)
 
     if not sched.envelopes:
-        _check_hermitian(H0)
         lam, V = np.linalg.eigh(H0)
         phases = np.exp(-1j * np.outer(times - times[0], lam))
         psis = (phases * (V.conj().T @ psi)) @ V.T  # row j is psi(times[j])
-        series = {name: np.real(np.sum(psis.conj() * (psis @ op.mat.T), axis=1))
-                  for name, op in observables.items()}
-        psi, total_steps = psis[-1].copy(), 0
-    else:
-        bound = gershgorin_range(sched.h0.mat) + sched.drive_bound()
-        max_step = default_max_step(bound, max_step_margin)
-        nenv, envs, mats, dt_env, t0_env = sched.packed()
-        series = {name: [] for name in observables}
-        h_next = max_step
         total_steps = 0
+    else:
+        envs = np.array([env for env, _ in sched.envelopes])[:, None, :]
+        states, total_steps = _cf4_kets(sched, envs, times, psi[:, None])
+        psis = states[:, :, 0]
+    series = {name: np.real(np.sum(psis.conj() * (psis @ op.mat.T), axis=1))
+              for name, op in observables.items()}
 
-        def sample(v):
-            for name, op in observables.items():
-                series[name].append(float(np.real(np.vdot(v, op.mat @ v))))
-
-        sample(psi)
-        for i in range(times.size - 1):
-            psi, h_next, status, ns = se_step(
-                psi, times[i], times[i + 1], H0, nenv, envs, mats, dt_env, t0_env,
-                rtol, atol, max_step, h_next, RK_A, RK_B, RK_C, RK_E)
-            total_steps += ns
-            _raise_on_status(status, times[i])
-            sample(psi)
-
-    k = Ket(psi, psi0.trunc)
+    k = Ket(psis[-1].copy(), psi0.trunc)
     drift = abs(k.norm() - 1.0)
     return EvolutionResult(
         times=times,
-        observables={kk: np.asarray(v) for kk, v in series.items()},
+        observables=series,
         final_state=k.to_density_matrix(),
         nsteps=total_steps,
         trace_drift=drift,

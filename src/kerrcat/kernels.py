@@ -1,4 +1,4 @@
-"""Hot numerical kernels: one adaptive Dormand-Prince 4(5) stepper in numpy.
+"""The adaptive Dormand-Prince 4(5) stepper, in numpy.
 
 :func:`_advance` holds the integration loop once; two entry points hand it
 the right-hand side of their problem as a closure:
@@ -6,12 +6,16 @@ the right-hand side of their problem as a closure:
 * :func:`lb_step` — density-matrix evolution under a Lindblad generator with
   constant Hamiltonian + jump terms plus optional time-dependent Hermitian
   envelope terms ``c(t) M + c*(t) M†`` (envelopes sampled on a uniform grid,
-  linearly interpolated inside the kernel).
+  linearly interpolated inside the kernel). ``dynamics.evolve`` uses it for
+  schedules with envelopes.
 * :func:`se_step` — state-vector evolution under the corresponding
-  Hamiltonian-only dynamics.
+  Hamiltonian-only dynamics. Nothing in the program calls it: kets under a
+  schedule take the CF4 exponential route in :mod:`kerrcat.dynamics`. It is
+  kept for the benchmark's tracer and for the tests.
 
 The loop uses the Dormand-Prince embedded 4(5) pair with FSAL, an RMS error
-norm with per-element scale ``atol + rtol*max(|y0|,|y1|)``, and step-size
+norm with per-element scale ``atol + rtol*max(|y0|,|y1|)`` (computed relative
+to its largest ratio, so it stays finite for any tolerance), and step-size
 factors clipped to ``[0.2, 2.0]`` around ``0.9 * err^(-1/5)``.
 """
 from __future__ import annotations
@@ -114,8 +118,10 @@ def _advance(rhs, y, t0, t1, rtol, atol, max_step, h0, A, B, C, E):
                 y5 += (h * B[j]) * k[j]
             if E[j] != 0.0:
                 err += (h * E[j]) * k[j]
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        enorm = np.sqrt(np.mean((np.abs(err) / sc) ** 2))
+        ratio = np.abs(err) / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+        # RMS scaled by the peak first, so a tiny atol cannot overflow the squares
+        peak = float(np.max(ratio))
+        enorm = peak * np.sqrt(np.mean((ratio / peak) ** 2)) if 0.0 < peak < np.inf else peak
         if not np.isfinite(enorm):
             return y, h, STATUS_NONFINITE, nsteps
         if enorm <= 1.0:

@@ -127,6 +127,45 @@ def test_simulate_x_gate_closed_and_open(cat4):
         simulate_x_gate(spec, params, trunc, np.zeros(trunc.dim))
 
 
+def test_chevron_map_equals_per_cell_transfer(cat4):
+    params, trunc = cat4
+    tgs = np.array([0.12, 0.25, 0.32])
+    d0s = np.array([-12.3, -8.2, -2.5, 0.0])
+    grid = chevron_map(params, trunc, tgs, d0s, n_gates=2)
+    frame = build_cat_frame(kerr_cat_hamiltonian(params, trunc))
+    cells = np.array([[x_gate_transfer(XGateSpec(Tg=tg, delta0=d0 * K), params,
+                                       trunc, 2, frame) for tg in tgs] for d0 in d0s])
+    assert np.max(np.abs(grid - cells)) < 1e-10
+
+
+def _flood_fill_lobes(mask):
+    # reference: count 4-connected regions by an explicit flood fill
+    seen = np.zeros_like(mask, dtype=bool)
+    lobes = 0
+    for r, c in zip(*np.nonzero(mask)):
+        if seen[r, c]:
+            continue
+        lobes += 1
+        stack = [(r, c)]
+        seen[r, c] = True
+        while stack:
+            rr, cc = stack.pop()
+            for r2, c2 in ((rr + 1, cc), (rr - 1, cc), (rr, cc + 1), (rr, cc - 1)):
+                if 0 <= r2 < mask.shape[0] and 0 <= c2 < mask.shape[1] \
+                        and mask[r2, c2] and not seen[r2, c2]:
+                    seen[r2, c2] = True
+                    stack.append((r2, c2))
+    return lobes
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12),
+       cols=st.integers(1, 12), fill=st.floats(0.0, 1.0))
+def test_count_transfer_lobes_matches_flood_fill(seed, rows, cols, fill):
+    transfer = np.random.default_rng(seed).uniform(0.0, 1.0, (rows, cols)) * fill * 2
+    assert count_transfer_lobes(transfer, 0.5) == _flood_fill_lobes(transfer > 0.5)
+
+
 def test_chevron_map_shape(cat4):
     params, trunc = cat4
     tgs = np.array([0.30, 0.32, 0.34])

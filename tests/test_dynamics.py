@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from scipy.integrate import solve_ivp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kerrcat import (BathSpec, DensityMatrix, DetuningNoise, JumpTerm,
@@ -180,8 +181,8 @@ def test_evolve_constant_generator_matches_expm_and_stepper(dim, njump, seed,
     times = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
 
     res = evolve(rho0, h, jumps, times, {"n": obs})
-    stepped = evolve(rho0, Schedule(h, [(np.zeros(2), obs)]), jumps, times,
-                     {"n": obs}, rtol=1e-11, atol=1e-13)
+    zero = Schedule(h, [(np.zeros(2), obs)], dt=times[-1] - times[0], t0=times[0])
+    stepped = evolve(rho0, zero, jumps, times, {"n": obs}, rtol=1e-11, atol=1e-13)
     assert res.nsteps == 0 and stepped.nsteps > 0
     sup = liouvillian_matrix(h, jumps)
     for j, t in enumerate(times):
@@ -272,6 +273,16 @@ def test_evolve_ket_rejects_non_hermitian_constant_h():
         evolve_ket(fock_state(0, tr), h, np.array([0.0, 1.0]))
 
 
+def test_evolve_ket_rejects_non_hermitian_schedule_h0():
+    # the CF4 route bounds the spectrum of h0 with eigvalsh, which reads one
+    # triangle only
+    tr = Truncation(3)
+    h = Operator(np.triu(np.ones((3, 3))) * 1j, tr)
+    sched = Schedule(h, [(np.ones(3), number_operator(tr))], dt=0.5)
+    with pytest.raises(NotHermitian):
+        evolve_ket(fock_state(0, tr), sched, np.array([0.0, 1.0]))
+
+
 def test_schedule_envelope_matches_folded_constant():
     dim = 5
     tr = Truncation(dim)
@@ -292,33 +303,119 @@ def test_schedule_envelope_matches_folded_constant():
     assert np.max(np.abs(res_env.final_ket.amp - res_fold.final_ket.amp)) < 1e-8
 
 
-@pytest.mark.parametrize("atol, error", [(1e-100, StepSizeUnderflow),
-                                         (1e-300, NonFiniteState)])
-def test_evolve_raises_on_stepper_failure(atol, error):
-    tr = Truncation(20)
+def _zero_drive_schedule(dim):
+    tr = Truncation(dim)
     a = annihilation(tr)
     kerr = Operator(-(a.mat.conj().T @ a.mat.conj().T @ a.mat @ a.mat), tr,
                     hermitian_hint=True)
-    rho0 = coherent_state(1.5, tr).to_density_matrix()
     # a zero envelope keeps the generator constant but routes it to the stepper
-    sched = Schedule(kerr, [(np.zeros(9), a)], dt=0.05)
-    with np.errstate(over="ignore"), pytest.raises(error, match="at t = 0 us"):
+    return Schedule(kerr, [(np.zeros(9), a)], dt=0.05), a
+
+
+# atol 1e-300 squares to past the float range in a plain RMS norm; it must
+# underflow like any other unreachable tolerance, not read as a non-finite state
+@pytest.mark.parametrize("atol, error", [(1e-100, StepSizeUnderflow),
+                                         (1e-300, StepSizeUnderflow)])
+def test_evolve_raises_on_stepper_failure(atol, error):
+    sched, a = _zero_drive_schedule(20)
+    rho0 = coherent_state(1.5, a.trunc).to_density_matrix()
+    with np.errstate(over="raise"), pytest.raises(error, match="at t = 0 us"):
         evolve(rho0, sched, [JumpTerm(a, 0.1)], np.array([0.0, 0.2, 0.4]),
                rtol=0.0, atol=atol)
 
 
-@pytest.mark.parametrize("atol, error", [(1e-100, StepSizeUnderflow),
-                                         (1e-300, NonFiniteState)])
-def test_evolve_ket_envelope_raises_on_stepper_failure(atol, error):
-    dim = 5
+def test_evolve_raises_on_nonfinite_state():
+    # finite envelope samples and operator whose drive term overflows to inf
+    sched, a = _zero_drive_schedule(20)
+    sched = Schedule(sched.h0, [(np.full(9, 1e300), Operator(1e10 * a.mat, a.trunc))],
+                     dt=0.05)
+    rho0 = coherent_state(1.5, a.trunc).to_density_matrix()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteState, match="at t = 0 us"):
+        evolve(rho0, sched, [], np.array([0.0, 0.2, 0.4]))
+
+
+@pytest.mark.parametrize("bad", [np.array([0.1, np.nan, 0.2]),
+                                 np.array([0.1, 0.2, np.inf * 1j]),
+                                 np.array([0.3]), np.zeros((2, 2))])
+def test_schedule_rejects_bad_envelope(bad):
+    tr = Truncation(3)
+    with pytest.raises(ValueError):
+        Schedule(number_operator(tr), [(bad, annihilation(tr))], dt=0.1)
+
+
+@pytest.mark.parametrize("run", ["evolve", "evolve_ket"])
+def test_sample_times_must_lie_on_the_envelope_grid(run):
+    # grid 0.1 .. 0.5 in steps of 0.1; rounding of ~1e-9 dt is forgiven
+    tr = Truncation(4)
+    sched = Schedule(number_operator(tr), [(np.full(5, 0.2 + 0.1j), annihilation(tr))],
+                     dt=0.1, t0=0.1)
+    psi0 = fock_state(1, tr)
+
+    def go(times):
+        if run == "evolve":
+            return evolve(psi0.to_density_matrix(), sched, [], times).final_state.mat
+        return evolve_ket(psi0, sched, times).final_ket.amp
+
+    assert np.all(np.isfinite(go(np.array([0.1 - 1e-12, 0.3, 0.5 + 1e-12]))))
+    for times in ([0.1, 0.3, 0.5 + 1e-6], [0.1 - 1e-6, 0.3], [0.2, 0.7]):
+        with pytest.raises(ValueError, match="envelope grid"):
+            go(np.array(times))
+
+
+@settings(deadline=None, max_examples=25)
+@given(dim=st.integers(2, 8), nenv=st.integers(1, 2), nsamp=st.integers(2, 12),
+       dt=st.floats(0.005, 0.01), t0=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5, unique=True))
+def test_evolve_ket_schedule_matches_dop853(dim, nenv, nsamp, dt, t0, seed, fractions):
+    # CF4 on random schedules (non-Hermitian complex drives, sample times off
+    # the envelope grid) against solve_ivp on the linearly interpolated H(t)
+    rng = np.random.default_rng(seed)
     tr = Truncation(dim)
-    rng = np.random.default_rng(1)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h0 = Operator(((m + m.conj().T) / 2).astype(complex), tr, hermitian_hint=True)
-    sched = Schedule(h0, [(np.full(13, 0.25 + 0.1j), Operator(m, tr))], dt=0.05)
-    with np.errstate(over="ignore"), pytest.raises(error, match="at t = 0 us"):
-        evolve_ket(fock_state(1, tr), sched, np.array([0.0, 0.3, 0.6]),
-                   rtol=0.0, atol=atol)
+
+    def cmat():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    def unit(m):
+        return m / np.linalg.norm(m, 2)
+
+    def hermitian():
+        m = cmat()
+        return Operator(unit(m + m.conj().T), tr, hermitian_hint=True)
+
+    h0, obs = hermitian(), hermitian()
+    ops = [Operator(unit(cmat()), tr) for _ in range(nenv)]
+    envs = [rng.uniform(-1, 1, nsamp) + 1j * rng.uniform(-1, 1, nsamp)
+            for _ in range(nenv)]
+    sched = Schedule(h0, list(zip(envs, ops)), dt=dt, t0=t0)
+    grid = t0 + dt * np.arange(nsamp)
+    times = np.unique(t0 + (nsamp - 1) * dt * np.array(fractions))
+    assume(times.size >= 2 and np.min(np.diff(times)) > 1e-6)
+    amp = cmat()[0]
+    psi0 = Ket(amp / np.linalg.norm(amp), tr)
+
+    res = evolve_ket(psi0, sched, times, {"o": obs})
+
+    def rhs(t, y):
+        h = h0.mat.copy()
+        for env, op in zip(envs, ops):
+            c = np.interp(t, grid, env.real) + 1j * np.interp(t, grid, env.imag)
+            h += c * op.mat + np.conj(c) * op.mat.conj().T
+        return -1j * (h @ y)
+
+    sol = solve_ivp(rhs, (times[0], times[-1]), psi0.amp, method="DOP853",
+                    rtol=1e-12, atol=1e-12, t_eval=times)
+    assert sol.success
+    want = [float(np.real(np.vdot(y, obs.mat @ y))) for y in sol.y.T]
+    assert np.max(np.abs(res.observables["o"] - want)) < 1e-6
+    assert np.max(np.abs(res.final_ket.amp - sol.y[:, -1])) < 1e-6
+    assert res.trace_drift < 1e-12
+    # one interval per piece of the envelope grid cut at the sample times
+    # (a grid point within rounding of a sample time cuts nothing)
+    gap = np.min(np.abs(grid[:, None] - times[None, :]), axis=1)
+    inside = np.sum((grid > times[0]) & (grid < times[-1]) & (gap > 1e-9 * dt))
+    assert res.nsteps == times.size - 1 + inside
 
 
 def test_early_stop_truncates_trace():
