@@ -135,25 +135,33 @@ def _step_both(rng, dim, rtol, atol, h0, corrupt=False):
 
 
 def test_unreachable_tolerance_underflows():
-    # With rtol = 0 every attempt is rejected and the step shrinks by the
-    # clipped factor 0.2 until it drops below 1e-14:
-    # 0.05 * 0.2**18 = 1.3e-14, 0.05 * 0.2**19 = 2.6e-15. At atol = 1e-300 the
-    # error ratios are ~1e297, whose squares overflow; the norm must not.
-    for atol in (1e-100, 1e-300):
-        with np.errstate(over="raise"):
-            results = _step_both(np.random.default_rng(7), 4, 0.0, atol, 0.05)
-        for y, h_next, status, nsteps in results:
-            assert status == STATUS_UNDERFLOW
-            assert nsteps == 19
-            assert h_next == pytest.approx(0.05 * 0.2 ** 19)
-            assert np.all(np.isfinite(y))
+    # With rtol = 0 and atol = 1e-100 every attempt is rejected and the step
+    # shrinks by the clipped factor 0.2 until it drops below 1e-14:
+    # 0.05 * 0.2**18 = 1.3e-14, 0.05 * 0.2**19 = 2.6e-15.
+    for y, h_next, status, nsteps in _step_both(np.random.default_rng(7), 4,
+                                                0.0, 1e-100, 0.05):
+        assert status == STATUS_UNDERFLOW
+        assert nsteps == 19
+        assert h_next == pytest.approx(0.05 * 0.2 ** 19)
+        assert np.all(np.isfinite(y))
 
 
-# A NaN entry in the state leaves a non-finite error estimate.
-@pytest.mark.parametrize("rtol, atol, corrupt", [(1e-8, 1e-10, True)])
+# A NaN entry in the state leaves a non-finite error estimate, which stops
+# the stepper at once. With rtol = 0 and atol = 1e-300 the error ratios are
+# ~1e297, whose squares overflow: the estimate must stay finite, so the
+# stepper is stopped by step-size underflow instead (1e-3 * 0.2**16 < 1e-14).
+@pytest.mark.parametrize("rtol, atol, corrupt", [(1e-8, 1e-10, True),
+                                                 (0.0, 1e-300, False)])
 def test_nonfinite_error_estimate_stops_stepper(rtol, atol, corrupt):
-    results = _step_both(np.random.default_rng(7), 4, rtol, atol, 1e-3,
-                         corrupt=corrupt)
-    for _, _, status, nsteps in results:
-        assert status == STATUS_NONFINITE
-        assert nsteps == 0
+    with np.errstate(over="raise"):
+        results = _step_both(np.random.default_rng(7), 4, rtol, atol, 1e-3,
+                             corrupt=corrupt)
+    for y, h_next, status, nsteps in results:
+        if corrupt:
+            assert status == STATUS_NONFINITE
+            assert nsteps == 0
+        else:
+            assert status == STATUS_UNDERFLOW
+            assert nsteps == 16
+            assert h_next == pytest.approx(1e-3 * 0.2 ** 16)
+            assert np.all(np.isfinite(y))
