@@ -7,12 +7,12 @@ and parasitic baths, gate and readout simulation, process tomography, and
 microwave stub-filter design. The ``kerrcat`` console script exposes the
 named experiments.
 
-Kets under a time-dependent schedule are integrated by a fourth-order
-commutator-free exponential scheme on the envelope grid, and density
-matrices by one adaptive Dormand-Prince stepper in plain numpy
-(``kerrcat.kernels``). Under a constant Hamiltonian a ket is propagated
-exactly from one eigendecomposition of H, and a density matrix by a
-Chebyshev expansion of exp(L dt) in the sparse Liouvillian.
+Every evolution is an exponential. Under a constant Hamiltonian a ket is
+propagated exactly from one eigendecomposition of H, and a density matrix by
+a Chebyshev expansion of exp(L dt) in the sparse Liouvillian. Under a
+time-dependent schedule, kets and density matrices alike are integrated by a
+fourth-order commutator-free exponential scheme on the envelope grid, each
+exponential a Chebyshev series.
 """
 
 __version__ = "0.1.0"
@@ -21,13 +21,13 @@ from .errors import (ConfigInvalid, DegenerateCat, DegenerateModes,
                      DimMismatch, ExperimentFailed, FitDiverged, KerrcatError,
                      NonFiniteState, NonPositiveTemperature, NotHermitian,
                      OutOfWindow, ResonantDriveSingularity, SingularDesign,
-                     StepSizeUnderflow, TruncationTooSmall, ZeroDrive, ZeroG3)
+                     TruncationTooSmall, ZeroDrive, ZeroG3)
 from .fock import (DensityMatrix, Ket, Operator, Truncation, annihilation,
                    cat_state, coherent_state, creation, default_truncation,
                    displacement, expectation, fock_state, identity,
                    number_operator, parity_operator, state_fidelity, wigner,
                    wigner_grid, wigner_normalization)
-from .kernels import backend, default_max_step, gershgorin_range, warmup
+from .kernels import backend, warmup
 from .catframe import CatFrame, bloch_vector, build_cat_frame, manifold_population
 from .model import (KerrCatParams, SnailParams, Spectrum, cqr_coupling,
                     cqr_stark_and_cross_kerr, degenerate_groups,
@@ -43,7 +43,7 @@ from .dynamics import (BathSpec, DetuningNoise, DetuningSweepResult,
                        evolve_ket, fit_exponential, lifetime_T_C,
                        lifetime_T_alpha, liouvillian_matrix, nbar_time_avg,
                        plateau_bath, standard_bath, tc_tradeoff)
-from .control import (PrepResult, PulseSchedule, RampResult, XGateSpec,
+from .control import (PrepResult, RampResult, XGateSpec,
                       cat_size_from_rabi, chevron_map, count_transfer_lobes,
                       effective_detuning, fock_to_cat_prep,
                       kerr_free_flight_gate, phase_modulation_pulse,

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
 
 from .catframe import CatFrame, build_cat_frame
-from .dynamics import EvolutionResult, Schedule, _cf4_kets, evolve, evolve_ket
+from .dynamics import EvolutionResult, Schedule, _cf4, evolve, evolve_ket
 from .errors import OutOfWindow, ZeroDrive
 from .fock import (DensityMatrix, Ket, Operator, Truncation, annihilation,
                    cat_state, coherent_state, default_truncation, fock_state,
@@ -25,41 +25,6 @@ from .model import KerrCatParams, kerr_cat_hamiltonian
 DEFAULT_SAMPLE_PERIOD = 1e-3  # us (1 ns)
 RAMP_SATURATION = math.atanh(0.999)
 ZENO_DRIVE_WARN_FRACTION = 0.1
-
-
-@dataclass
-class PulseSchedule:
-    """Sampled control waveform: per-sample (detuning, drive) at a fixed rate.
-
-    detuning in rad/us multiplies a†a; drive c(t) enters as (c/2) a† + h.c.
-    """
-
-    samples: list = field(default_factory=list)  # (detuning: float, drive: complex)
-    sample_period: float = DEFAULT_SAMPLE_PERIOD
-
-    def __post_init__(self):
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-        for det, drv in self.samples:
-            if not (np.isfinite(det) and np.isfinite(complex(drv))):
-                raise ValueError("pulse samples must be finite")
-
-    @property
-    def duration(self) -> float:
-        return self.sample_period * max(0, len(self.samples) - 1)
-
-    def to_schedule(self, params: KerrCatParams, trunc: Truncation) -> Schedule:
-        """Attach the waveform to H_KC: detuning on a†a, drive on a†."""
-        h0 = kerr_cat_hamiltonian(params, trunc)
-        det = np.array([s[0] for s in self.samples], dtype=np.complex128)
-        drv = np.array([s[1] for s in self.samples], dtype=np.complex128)
-        envelopes = []
-        if np.any(det != 0):
-            envelopes.append((det, 0.5 * number_operator(trunc)))
-        if np.any(drv != 0):
-            envelopes.append((drv, Operator(0.5 * annihilation(trunc).mat.conj().T,
-                                            trunc)))
-        return Schedule(h0=h0, envelopes=envelopes, dt=self.sample_period, t0=0.0)
 
 
 @dataclass(frozen=True)
@@ -183,7 +148,7 @@ def chevron_map(params: KerrCatParams, trunc: Truncation, tg_grid, delta0_over_k
         envs = (d0_grid[:, None] * unit_env)[None]
         psi = start
         for _ in range(n_gates):
-            psi = _cf4_kets(sched, envs, times, psi)[0][-1]
+            psi, _ = next(_cf4(sched, times, psi, envs=envs))
             psi = psi / np.linalg.norm(psi, axis=0)
         out[:, j] = np.abs(frame.w_minus.amp.conj() @ psi) ** 2
     return out

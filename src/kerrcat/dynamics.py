@@ -7,17 +7,19 @@ angular (rad/us). Each class of problem has one route:
   eigendecomposition of H;
 * a ket under a schedule with envelopes is integrated by the fourth-order
   commutator-free exponential scheme CF4 on the envelope grid, each
-  exponential a Chebyshev series (:func:`_cf4_kets`, which also advances a
-  block of kets at once for the gate chevron);
+  exponential a Chebyshev series (:func:`_cf4`, which also advances a block
+  of kets at once for the gate chevron);
 * a density matrix under a constant Hamiltonian is propagated by a Chebyshev
   expansion of exp(L dt) in the sparse Liouvillian L;
-* a density matrix under a schedule with envelopes is integrated by the
-  adaptive embedded Runge-Kutta pair in :mod:`kerrcat.kernels`.
+* a density matrix under a schedule with envelopes is integrated by the same
+  CF4 scheme on vec(rho), each exponential a Chebyshev series in the sparse
+  Liouvillian, with intervals cut by the damping rule of the constant route.
 
-The two Chebyshev routes share one series (:func:`_chebyshev_series`). The
-tests check the ket routes against ``expm`` and ``solve_ivp`` and the density
-matrix routes against a matrix-exponential solution of the vectorized
-generator.
+Every route is an exponential: the Chebyshev routes share one series
+(:func:`_chebyshev_series`) and one construction of the sparse Liouvillian
+(:func:`_sparse_liouvillian`). The tests check the ket routes against
+``expm`` and ``solve_ivp``, and the density matrix routes against a
+matrix-exponential solution of the vectorized generator and ``solve_ivp``.
 """
 from __future__ import annotations
 
@@ -31,19 +33,16 @@ from scipy.special import jv
 
 from .catframe import build_cat_frame
 from .errors import (DimMismatch, FitDiverged, NonFiniteState,
-                     NonPositiveTemperature, NotHermitian, StepSizeUnderflow,
-                     ZeroG3)
+                     NonPositiveTemperature, NotHermitian, ZeroG3)
 from .fock import (HERMITIAN_ATOL, DensityMatrix, Ket, Operator, Truncation,
                    annihilation, default_truncation, number_operator)
-from .kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, STATUS_NONFINITE,
-                      STATUS_UNDERFLOW, default_max_step, gershgorin_range,
-                      lb_step)
 from .model import KerrCatParams, SnailParams, kerr_cat_hamiltonian
 from .units import HBAR_OVER_KB_MK, MHZ
 
 EVOLVE_PSD_ATOL = 1e-6
-# Chebyshev propagator: each substep tau keeps tau * (dissipator norm bound)
-# at most this, which bounds the growth of the Chebyshev terms by ~e^4; terms
+# Chebyshev series of a dissipative generator: each substep tau (of a window
+# of the constant route, or a CF4 interval) keeps tau * (damping bound) at
+# most this, which bounds the growth of the Chebyshev terms by ~e^4; terms
 # whose Bessel coefficient is below CHEB_TAIL are dropped.
 CHEB_DAMPING_STEP = 4.0
 CHEB_TAIL = 1e-17
@@ -146,8 +145,8 @@ class JumpTerm:
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"jump rate must be >= 0, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"jump rate must be finite and >= 0, got {self.rate}")
 
     def scaled_matrix(self) -> np.ndarray:
         return math.sqrt(self.rate) * self.operator.mat
@@ -274,22 +273,6 @@ class Schedule:
                 f"t_span [{times[0]:.6g}, {times[-1]:.6g}] leaves the envelope grid "
                 f"[{self.t0:.6g}, {t_end:.6g}]")
 
-    def packed(self):
-        nenv = len(self.envelopes)
-        if nenv == 0:
-            return NOENV
-        envs = np.array([env for env, _ in self.envelopes])
-        mats = np.array([op.mat for _, op in self.envelopes], dtype=np.complex128)
-        return nenv, envs, mats, float(self.dt), float(self.t0)
-
-    def drive_bound(self) -> float:
-        """Adds to the spectral-range bound used for the step-size ceiling."""
-        total = 0.0
-        for env, op in self.envelopes:
-            peak = float(np.max(np.abs(np.asarray(env))))
-            total += 2.0 * peak * float(np.max(np.sum(np.abs(op.mat), axis=1)))
-        return total
-
 
 # ----------------------------------------------------------------- evolution
 
@@ -311,14 +294,6 @@ def _as_schedule(h) -> Schedule:
     if isinstance(h, Operator):
         return Schedule(h0=h)
     raise TypeError(f"h must be Operator or Schedule, got {type(h)}")
-
-
-def _raise_on_status(status: int, t: float) -> None:
-    """Turn a failed stepper status for the window starting at t into its error."""
-    if status == STATUS_UNDERFLOW:
-        raise StepSizeUnderflow(f"step underflow at t = {t:.4g} us")
-    if status == STATUS_NONFINITE:
-        raise NonFiniteState(f"non-finite state at t = {t:.4g} us")
 
 
 def _check_hermitian(H: np.ndarray) -> None:
@@ -349,6 +324,30 @@ def _chebyshev_series(apply_a, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _ad(X: np.ndarray) -> sparse.csr_matrix:
+    """ad(X) = X⊗I - I⊗Xᵀ, the commutator [X, .] on row-major vec(rho)."""
+    eye = sparse.identity(X.shape[0], dtype=np.complex128, format="csr")
+    Xs = sparse.csr_matrix(X)
+    return (sparse.kron(Xs, eye) - sparse.kron(eye, Xs.T)).tocsr()
+
+
+def _sparse_liouvillian(H: np.ndarray, Ls: list):
+    """(ad(H), D, d) on row-major vec(rho), both CSR: the Liouvillian is
+    -i ad(H) + D, with D the dissipator of the sqrt(rate)-scaled jump
+    matrices Ls and d = max(||D||_1, ||D||_inf) >= ||D||_2."""
+    dim = H.shape[0]
+    eye = sparse.identity(dim, dtype=np.complex128, format="csr")
+    D = sparse.csr_matrix((dim * dim, dim * dim), dtype=np.complex128)
+    for L in Ls:
+        Lsp = sparse.csr_matrix(L)
+        LdL = Lsp.conj().T @ Lsp
+        D = D + sparse.kron(Lsp, Lsp.conj()) - 0.5 * (
+            sparse.kron(LdL, eye) + sparse.kron(eye, LdL.T))
+    absD = abs(D)
+    d = float(max(absD.sum(axis=0).max(), absD.sum(axis=1).max())) if D.nnz else 0.0
+    return _ad(H), D, d
+
+
 def _lindblad_propagator(H: np.ndarray, Ls: list):
     """Return propagate(v, dt) = exp(L dt) v for the constant generator
     L = -i[H, .] + D on row-major vec(rho), D the dissipator of the
@@ -362,22 +361,12 @@ def _lindblad_propagator(H: np.ndarray, Ls: list):
     with tau d <= CHEB_DAMPING_STEP, so the terms grow by at most ~e^4 and
     round-off stays near machine precision. H must be Hermitian.
     """
-    dim = H.shape[0]
-    eye = sparse.identity(dim, dtype=np.complex128, format="csr")
-    Hs = sparse.csr_matrix(H)
-    D = sparse.csr_matrix((dim * dim, dim * dim), dtype=np.complex128)
-    for L in Ls:
-        Lsp = sparse.csr_matrix(L)
-        LdL = Lsp.conj().T @ Lsp
-        D = D + sparse.kron(Lsp, Lsp.conj()) - 0.5 * (
-            sparse.kron(LdL, eye) + sparse.kron(eye, LdL.T))
-    absD = abs(D)
-    d = float(max(absD.sum(axis=0).max(), absD.sum(axis=1).max())) if D.nnz else 0.0
+    adH, D, d = _sparse_liouvillian(H, Ls)
     lam = np.linalg.eigvalsh(H)
     r = float(lam[-1] - lam[0]) + d
     if r == 0.0:  # zero generator: any positive scale gives the identity
         r = 1.0
-    A = ((2j / r) * (-1j * (sparse.kron(Hs, eye) - sparse.kron(eye, Hs.T)) + D)).tocsr()
+    A = ((2j / r) * (-1j * adH + D)).tocsr()
 
     def propagate(v: np.ndarray, dt: float) -> np.ndarray:
         nsub = max(1, math.ceil(dt * d / CHEB_DAMPING_STEP))
@@ -389,37 +378,64 @@ def _lindblad_propagator(H: np.ndarray, Ls: list):
     return propagate
 
 
-def _cf4_kets(sched: Schedule, envs: np.ndarray, times: np.ndarray,
-              psi: np.ndarray) -> tuple[np.ndarray, int]:
-    """Advance the columns of psi (dim x nb) through
-    H_b(t) = h0 + sum_e c_eb(t) M_e + c_eb*(t) M_e† with the fourth-order
-    commutator-free exponential integrator CF4 (Blanes & Moan, Appl. Numer.
-    Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930
-    (2011)).
+def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = None,
+         envs: np.ndarray | None = None):
+    """Advance y through sched with the fourth-order commutator-free
+    exponential integrator CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519
+    (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), yielding
+    (state, intervals taken so far) at every sample time after the first.
 
-    Every column shares h0, the envelope operators M_e and the envelope grid
-    of sched; envs (nenv x nb x nsamp) holds each column's own samples. The
-    intervals are those of the envelope grid, cut at every sample time, so
-    the envelope is linear on each. An interval of length h is
-    exp(-i h (h0/2 + sum_e w2_e M_e + h.c.)) exp(-i h (h0/2 + sum_e w1_e M_e + h.c.))
+    With Ls None, y is a block of kets (dim x nb) under
+    H_b(t) = h0 + sum_e c_eb(t) M_e + c_eb*(t) M_e†: every column shares h0,
+    the envelope operators M_e and the envelope grid of sched, and envs
+    (nenv x nb x nsamp) holds each column's own samples (by default the
+    schedule's, for one column). Otherwise y is row-major vec(rho) (dim² x 1)
+    under L(t) = -i[H(t), .] + D, D the dissipator of the sqrt(rate)-scaled
+    jump matrices Ls; CF4 holds for any linear y' = A(t) y.
+
+    The intervals are those of the envelope grid, cut at every sample time,
+    so the envelope is linear on each. An interval of length h is
+    exp(-i h G(w2)) exp(-i h G(w1)), G(w) = G0 + sum_e (w_e M_e + h.c.),
     with w1 = a1 c1 + a2 c2, w2 = a2 c1 + a1 c2, a1,2 = 1/4 ± sqrt(3)/6 and
     c1, c2 the envelope at the Gauss points 1/2 ∓ sqrt(3)/6 of the interval;
-    its error is fifth order in h. Each exponential is a Chebyshev series
-    whose spectral bound, the range of h0 from eigvalsh plus
-    max |w_e| (||M_e||_1 + ||M_e||_inf) per envelope, is taken once per call.
+    its error is fifth order in h. G0 = h0/2 for kets. For rho,
+    G0 = (ad h0 + i D)/2 with ad X = [X, .], a drive term P acts as ad P, and
+    the field of values of G has |Im z| <= d/2 (d >= ||D||_2); intervals are
+    cut further into equal pieces with h d/2 <= CHEB_DAMPING_STEP, which
+    keeps the Chebyshev terms bounded as in _lindblad_propagator. Each
+    exponential is a Chebyshev series about the center of the spectrum of
+    G0, with a radius taken once per call: half the range of h0 (plus d/2
+    for rho), plus max |weight| times the row-sum norm of each Hermitian
+    drive term. h0 must be Hermitian.
 
-    Returns the states at every sample time (ntimes x dim x nb) and the
-    number of intervals taken. h0 must be Hermitian.
+    Raises NonFiniteState, naming the start of the interval, when the
+    spectral bound or the state is not finite.
     """
     sched.check_span(times)
+    if envs is None:
+        envs = np.array([env for env, _ in sched.envelopes])[:, None, :]
     H0 = sched.h0.mat
-    dim, nb, nsamp = H0.shape[0], psi.shape[1], envs.shape[-1]
+    n, nb, nsamp = y.shape[0], y.shape[1], envs.shape[-1]
+    lam = np.linalg.eigvalsh(H0)
+    if Ls is None:
+        center, radius, damping = 0.25 * (lam[0] + lam[-1]), 0.25 * (lam[-1] - lam[0]), 0.0
+        mats = [0.5 * H0 - center * np.eye(n)]
+    else:
+        adH, D, d = _sparse_liouvillian(H0, Ls)
+        center, radius, damping = 0.0, 0.5 * (lam[-1] - lam[0] + d), 0.5 * d
+        mats = [0.5 * (adH + 1j * D)]
+
     tol = SPAN_RTOL * sched.dt
     grid = sched.t0 + sched.dt * np.arange(nsamp)
     inner = grid[(grid > times[0] + tol) & (grid < times[-1] - tol)]
     j = np.searchsorted(times, inner)
     inner = inner[np.minimum(inner - times[j - 1], times[j] - inner) > tol]
     cuts = np.union1d(times, inner)
+    # damping substeps: interval m becomes nsub[m] equal intervals
+    nsub = np.maximum(1, np.ceil(np.diff(cuts) * damping / CHEB_DAMPING_STEP)).astype(int)
+    owner = np.repeat(np.arange(nsub.size), nsub)
+    part = np.arange(owner.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    cuts = np.append(cuts[owner] + (part / nsub[owner]) * np.diff(cuts)[owner], cuts[-1])
     steps = np.diff(cuts)
 
     # envelope at both Gauss points of every interval: (nenv, nb, nint, 2)
@@ -429,31 +445,26 @@ def _cf4_kets(sched: Schedule, envs: np.ndarray, times: np.ndarray,
     c = envs[..., i] * (1.0 - f) + envs[..., i + 1] * f
     w = c @ CF4_MIX  # [..., 0] weighs the first exponential, [..., 1] the second
 
-    # w M + w* M† = Re(w) (M + M†) + Im(w) i(M - M†): Hermitian parts with
-    # real weights; a part whose operator or weights vanish is dropped
-    lam = np.linalg.eigvalsh(H0)
-    center = 0.25 * (lam[0] + lam[-1])
-    radius = 0.25 * (lam[-1] - lam[0])
-    parts = []
+    # w M + w* M† = Re(w) (M + M†) + Im(w) i(M - M†): Hermitian terms with
+    # real weights; a term whose operator or weights vanish is dropped
+    weights = []
     for e, (_, op) in enumerate(sched.envelopes):
         M = op.mat
-        radius += float(np.max(np.abs(w[e]))) * (
-            np.abs(M).sum(axis=0).max() + np.abs(M).sum(axis=1).max())
         for mat, wt in ((M + M.conj().T, w[e].real), (1j * (M - M.conj().T), w[e].imag)):
             if np.any(mat) and np.any(wt):
-                parts.append((mat, wt))
+                g = mat if Ls is None else _ad(mat)
+                radius += float(np.max(np.abs(wt))) * float(abs(g).sum(axis=1).max())
+                mats.append(g)
+                weights.append(wt.reshape(nb, -1))
+    if not math.isfinite(radius):
+        raise NonFiniteState(f"non-finite spectral bound at t = {cuts[0]:.4g} us")
     if radius == 0.0:  # zero generator: any positive scale gives the identity
         radius = 1.0
-    # for the Hamiltonian H of either exponential, A = 2 (H - center) / radius
-    # has its spectrum in [-2, 2]
-    stack = np.concatenate([(H0 - 2.0 * center * np.eye(dim)) / radius]
-                           + [(2.0 / radius) * mat for mat, _ in parts])
-    weights = np.zeros((len(parts), nb, 2 * steps.size))
-    for q, (_, wt) in enumerate(parts):
-        weights[q] = wt.reshape(nb, -1)
+    # A = 2 (G - center) / radius, for the G of either exponential
+    stack = (2.0 / radius) * (np.concatenate(mats) if Ls is None
+                              else sparse.vstack(mats, format="csr"))
+    weights = np.array(weights).reshape(len(weights), nb, 2 * steps.size)
 
-    states = np.empty((times.size, dim, nb), dtype=np.complex128)
-    states[0] = psi
     sample = np.searchsorted(cuts, times)
     nxt = 1
     coefs: dict = {}
@@ -463,20 +474,20 @@ def _cf4_kets(sched: Schedule, envs: np.ndarray, times: np.ndarray,
         phase, coef = coefs[h]
         for wk in (weights[:, :, 2 * k], weights[:, :, 2 * k + 1]):
             def apply_a(u, wk=wk):
-                p = (stack @ u).reshape(-1, dim, nb)
+                p = (stack @ u).reshape(-1, n, nb)
                 out = p[0]
-                for q in range(len(parts)):
+                for q in range(len(wk)):
                     out = out + wk[q] * p[q + 1]
                 return out
-            psi = phase * _chebyshev_series(apply_a, psi, coef)
+            y = phase * _chebyshev_series(apply_a, y, coef)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteState(f"non-finite state at t = {cuts[k]:.4g} us")
         if sample[nxt] == k + 1:
-            states[nxt] = psi
+            yield y, k + 1
             nxt += 1
-    return states, steps.size
 
 
 def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None = None,
-           rtol: float = 1e-8, atol: float = 1e-10, max_step_margin: float = 2.5,
            early_stop: tuple | None = None) -> EvolutionResult:
     """Integrate drho/dt = -i[H,rho] + sum rate*(L rho L† - ½{L†L, rho}).
 
@@ -488,18 +499,20 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     A constant Hamiltonian (an Operator, or a Schedule without envelopes) is
     propagated window by window with a Chebyshev expansion of exp(L dt) in
     the sparse Liouvillian, accurate to about machine precision for any
-    increasing t_span; nsteps is then 0. rtol, atol and max_step_margin apply
-    only to schedules with envelopes, which the adaptive stepper integrates.
+    increasing t_span; nsteps is then 0. A schedule with envelopes is
+    integrated on vec(rho) by the CF4 scheme of evolve_ket, each exponential
+    a Chebyshev series in the sparse Liouvillian of its half-step; nsteps is
+    then the number of CF4 intervals taken, and t_span must lie on the
+    envelope grid.
 
-    Raises NotHermitian for a constant H that is not Hermitian, ValueError
-    for sample times outside the envelope grid, and StepSizeUnderflow /
-    NonFiniteState on integrator failure.
+    Raises NotHermitian for an h0 that is not Hermitian, ValueError for
+    sample times outside the envelope grid, and NonFiniteState when the
+    spectral bound or the state of the CF4 route is not finite.
     """
     sched = _as_schedule(h)
     times = np.asarray(t_span, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("t_span must be an increasing 1-d array of >= 2 times")
-    sched.check_span(times)
     dim = sched.h0.dim
     if rho0.dim != dim:
         raise DimMismatch(f"state dim {rho0.dim} vs hamiltonian dim {dim}")
@@ -512,39 +525,21 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
         if j.operator.dim != dim:
             raise DimMismatch("jump operator dim mismatch")
     Ls = [j.scaled_matrix() for j in jumps if j.rate > 0.0]
+    _check_hermitian(sched.h0.mat)
+    r = rho0.mat.astype(np.complex128)
 
     if not sched.envelopes:
-        _check_hermitian(sched.h0.mat)
         propagate = _lindblad_propagator(sched.h0.mat, Ls)
 
-        def window(rho, t0, t1):
-            return propagate(rho.reshape(-1), t1 - t0).reshape(dim, dim), 0
+        def windows(v):
+            for dt in np.diff(times):
+                v = propagate(v, dt)
+                yield v, 0
+        states = windows(r.reshape(-1))
     else:
-        if Ls:
-            Lst = np.ascontiguousarray(np.array(Ls, dtype=np.complex128))
-        else:
-            Lst = np.zeros((0, dim, dim), dtype=np.complex128)
-        Msum = np.zeros((dim, dim), dtype=np.complex128)
-        for L in Ls:
-            Msum += L.conj().T @ L
-        G = np.ascontiguousarray(-1j * sched.h0.mat - 0.5 * Msum)
-        Gd = np.ascontiguousarray(G.conj().T)
-        bound = (gershgorin_range(sched.h0.mat) + sched.drive_bound()
-                 + float(np.max(np.sum(np.abs(Msum), axis=1))))
-        max_step = default_max_step(bound, max_step_margin)
-        nenv, envs, mats, dt_env, t0_env = sched.packed()
-        h_next = max_step
-
-        def window(rho, t0, t1):
-            nonlocal h_next
-            rho, h_next, status, ns = lb_step(
-                rho, t0, t1, G, Gd, Lst, nenv, envs, mats, dt_env, t0_env,
-                rtol, atol, max_step, h_next, RK_A, RK_B, RK_C, RK_E)
-            _raise_on_status(status, t0)
-            return rho, ns
+        states = _cf4(sched, times, r.reshape(-1, 1), Ls)
 
     series: dict = {name: [] for name in observables}
-    r = rho0.mat.astype(np.complex128).copy()
     total_steps = 0
     drift = abs(float(np.real(np.trace(r))) - 1.0)
     kept = 1
@@ -555,9 +550,8 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
 
     sample(r)
     stop_name, stop_thresh = early_stop if early_stop else (None, None)
-    for i in range(times.size - 1):
-        r, ns = window(r, times[i], times[i + 1])
-        total_steps += ns
+    for v, total_steps in states:
+        r = v.reshape(dim, dim)
         sample(r)
         kept += 1
         drift = max(drift, abs(float(np.real(np.trace(r))) - 1.0))
@@ -589,8 +583,9 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> Evoluti
     error fifth order in the interval length. nsteps is then the number of
     CF4 intervals taken. t_span must lie on the envelope grid.
 
-    Raises NotHermitian for an h0 that is not Hermitian, and ValueError for
-    sample times outside the envelope grid.
+    Raises NotHermitian for an h0 that is not Hermitian, ValueError for
+    sample times outside the envelope grid, and NonFiniteState when the
+    spectral bound or the state of the CF4 route is not finite.
     """
     sched = _as_schedule(h)
     times = np.asarray(t_span, dtype=float)
@@ -610,9 +605,9 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> Evoluti
         psis = (phases * (V.conj().T @ psi)) @ V.T  # row j is psi(times[j])
         total_steps = 0
     else:
-        envs = np.array([env for env, _ in sched.envelopes])[:, None, :]
-        states, total_steps = _cf4_kets(sched, envs, times, psi[:, None])
-        psis = states[:, :, 0]
+        out = list(_cf4(sched, times, psi[:, None]))
+        psis = np.array([psi] + [state[:, 0] for state, _ in out])
+        total_steps = out[-1][1]
     series = {name: np.real(np.sum(psis.conj() * (psis @ op.mat.T), axis=1))
               for name, op in observables.items()}
 
@@ -631,8 +626,9 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> Evoluti
 def liouvillian_matrix(h: Operator, jumps: list) -> np.ndarray:
     """Dense generator on row-major-vectorized rho: d vec(rho)/dt = L vec(rho).
 
-    Small systems only; used as the matrix-exponential cross-check of the
-    stepper.
+    Small systems only: the independent oracle that the tests check both
+    density-matrix routes against through its matrix exponential. It shares
+    no code with the sparse Liouvillian those routes build.
     """
     H = h.mat
     dim = H.shape[0]

@@ -37,12 +37,8 @@ class NonPositiveTemperature(KerrcatError):
     """Bose-Einstein occupation requested at T < 0."""
 
 
-class StepSizeUnderflow(KerrcatError):
-    """Adaptive integrator step collapsed below the representable minimum."""
-
-
 class NonFiniteState(KerrcatError):
-    """Integration produced NaN/Inf entries."""
+    """Integration produced NaN/Inf entries or an infinite spectral bound."""
 
 
 class FitDiverged(KerrcatError):

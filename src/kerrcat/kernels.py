@@ -1,4 +1,12 @@
-"""The adaptive Dormand-Prince 4(5) stepper, in numpy.
+"""The adaptive Dormand-Prince 4(5) stepper, in numpy, with no caller in the
+program.
+
+Every evolution in :mod:`kerrcat.dynamics` is an exponential route (exact
+eigendecomposition, a Chebyshev propagator, or the CF4 scheme). This module
+is kept only because the benchmark in ``perfbench/`` looks its entry points
+up by name (``backend()``/``warmup()``, the traced ``lb_step``/``se_step``
+and their right-hand sides, the tableau); it goes with the next change to
+the benchmark.
 
 :func:`_advance` holds the integration loop once; two entry points hand it
 the right-hand side of their problem as a closure:
@@ -6,12 +14,9 @@ the right-hand side of their problem as a closure:
 * :func:`lb_step` — density-matrix evolution under a Lindblad generator with
   constant Hamiltonian + jump terms plus optional time-dependent Hermitian
   envelope terms ``c(t) M + c*(t) M†`` (envelopes sampled on a uniform grid,
-  linearly interpolated inside the kernel). ``dynamics.evolve`` uses it for
-  schedules with envelopes.
+  linearly interpolated inside the kernel).
 * :func:`se_step` — state-vector evolution under the corresponding
-  Hamiltonian-only dynamics. Nothing in the program calls it: kets under a
-  schedule take the CF4 exponential route in :mod:`kerrcat.dynamics`. It is
-  kept for the benchmark's tracer and for the tests.
+  Hamiltonian-only dynamics.
 
 The loop uses the Dormand-Prince embedded 4(5) pair with FSAL, an RMS error
 norm with per-element scale ``atol + rtol*max(|y0|,|y1|)`` (computed relative

@@ -15,7 +15,6 @@ from kerrcat import (KerrCatParams, Ket, Truncation, XGateSpec,
                      parity_operator, phase_modulation_pulse, rabi_frequency,
                      simulate_x_gate, simulate_z_rotation, stabilization_ramp,
                      x_gate_schedule, x_gate_transfer)
-from kerrcat.control import PulseSchedule
 from kerrcat.dynamics import JumpTerm
 from kerrcat.errors import OutOfWindow, ZeroDrive
 from kerrcat.fock import annihilation
@@ -85,15 +84,6 @@ def test_xgatespec_validation():
     assert XGateSpec(Tg=0.4, delta0=-1.0).sigma == pytest.approx(0.1)
 
 
-def test_pulse_schedule_validation():
-    with pytest.raises(ValueError):
-        PulseSchedule(samples=[(0.0, 0.0)], sample_period=0.0)
-    with pytest.raises(ValueError):
-        PulseSchedule(samples=[(math.inf, 0.0)])
-    sched = PulseSchedule(samples=[(0.0, 0.0), (1.0, 0.5j), (0.0, 0.0)])
-    assert sched.duration == pytest.approx(2e-3)
-
-
 # ----------------------------------------------------------- chevron transfer
 
 def test_x_gate_transfer_at_calibration(cat4):
@@ -125,6 +115,22 @@ def test_simulate_x_gate_closed_and_open(cat4):
     assert np.trace(res_open.final_state.mat).real == pytest.approx(1.0, abs=1e-7)
     with pytest.raises(TypeError):
         simulate_x_gate(spec, params, trunc, np.zeros(trunc.dim))
+
+
+def test_simulate_x_gate_density_matrix_equals_ket_route(cat4):
+    # without jumps, CF4 on vec(rho) and on the ket take the same intervals
+    # and weights, so they agree to round-off
+    params, trunc = cat4
+    spec = XGateSpec(Tg=0.32, delta0=-8.2 * K)
+    frame = build_cat_frame(kerr_cat_hamiltonian(params, trunc))
+    ket = simulate_x_gate(spec, params, trunc, frame.w_plus, n_samples=3,
+                          observables={"z": frame.z})
+    rho = simulate_x_gate(spec, params, trunc, frame.w_plus.to_density_matrix(),
+                          n_samples=3, observables={"z": frame.z})
+    psi = ket.final_ket.amp
+    assert np.max(np.abs(rho.final_state.mat - np.outer(psi, psi.conj()))) < 1e-12
+    assert np.max(np.abs(rho.observables["z"] - ket.observables["z"])) < 1e-12
+    assert rho.nsteps == ket.nsteps
 
 
 def test_chevron_map_equals_per_cell_transfer(cat4):
