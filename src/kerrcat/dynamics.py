@@ -10,7 +10,9 @@ angular (rad/us). Each class of problem has one route:
   exponential a Chebyshev series (:func:`_cf4`, which also advances a block
   of kets at once for the gate chevron);
 * a density matrix under a constant Hamiltonian is propagated by a Chebyshev
-  expansion of exp(L dt) in the sparse Liouvillian L;
+  expansion of exp(L dt) in the sparse Liouvillian L, run in real arithmetic
+  on the coordinates of rho in an orthonormal Hermitian basis, where L is a
+  real matrix (:func:`_real_liouvillian`);
 * a density matrix under a schedule with envelopes is integrated by the same
   CF4 scheme on vec(rho), each exponential a Chebyshev series in the sparse
   Liouvillian, with intervals cut by the damping rule of the constant route.
@@ -303,23 +305,27 @@ def _check_hermitian(H: np.ndarray) -> None:
 
 
 def _bessel_weights(x: float) -> np.ndarray:
-    """Weights w_k = (2 - [k = 0]) (-i)^k J_k(x) of the Chebyshev series
-    exp(-i x X) = sum_k w_k T_k(X) for X with spectrum in [-1, 1] (see
-    _lindblad_propagator for a dissipative X); terms with |J_k(x)| below
-    CHEB_TAIL are dropped."""
+    """Weights (2 - [k = 0]) J_k(x) of the Chebyshev series
+    exp(-i x X) = sum_k (2 - [k = 0]) (-i)^k J_k(x) T_k(X) for X with
+    spectrum in [-1, 1] (see _lindblad_propagator for a dissipative X);
+    terms with |J_k(x)| below CHEB_TAIL are dropped."""
     k = np.arange(int(x + 60.0 + 10.0 * x ** (1.0 / 3.0)))
     bessel = jv(k, x)
     m = max(2, int(np.nonzero(np.abs(bessel) > CHEB_TAIL)[0][-1]) + 1)
-    return np.where(k[:m] == 0, 1.0, 2.0) * (-1j) ** k[:m] * bessel[:m]
+    return np.where(k[:m] == 0, 1.0, 2.0) * bessel[:m]
 
 
-def _chebyshev_series(apply_a, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] T_k(A/2) v, given apply_a(u) = A u."""
-    # T_0 v = v, T_1 v = (A/2) v, T_{k+1} v = A T_k v - T_{k-1} v
+def _chebyshev_series(apply_a, v: np.ndarray, coef: np.ndarray,
+                      sign: int = -1) -> np.ndarray:
+    """sum_k coef[k] P_k v, given apply_a(u) = A u, with P_0 = 1, P_1 = A/2
+    and P_{k+1} = A P_k + sign P_{k-1}: the Chebyshev polynomials
+    P_k = T_k(A/2) for sign = -1, and P_k = (-i)^k T_k(iA/2) for sign = +1,
+    which are real for a real A."""
+    step = np.subtract if sign < 0 else np.add
     t_prev, t_cur = v, 0.5 * apply_a(v)
     acc = coef[0] * t_prev + coef[1] * t_cur
     for c in coef[2:]:
-        t_prev, t_cur = t_cur, apply_a(t_cur) - t_prev
+        t_prev, t_cur = t_cur, step(apply_a(t_cur), t_prev)
         acc += c * t_cur
     return acc
 
@@ -348,10 +354,36 @@ def _sparse_liouvillian(H: np.ndarray, Ls: list):
     return _ad(H), D, d
 
 
+def _real_liouvillian(H: np.ndarray, Ls: list):
+    """(Q, L_r, d) for the Liouvillian L = -i ad(H) + D of
+    _sparse_liouvillian, in the orthonormal Hermitian basis
+    E_ii, (E_ij + E_ji)/sqrt(2), i(E_ij - E_ji)/sqrt(2) (i < j).
+
+    Q is the sparse unitary taking row-major vec(rho) to the coordinates of
+    rho in that basis; they are real for a Hermitian rho, and they sit where
+    rho_ii, rho_ij and rho_ji sit in vec(rho). L maps Hermitian matrices to
+    Hermitian matrices, so L_r = Q L Q† is real (CSR); d is that of
+    _sparse_liouvillian.
+    """
+    dim = H.shape[0]
+    i, j = np.triu_indices(dim, 1)
+    up, lo, diag = i * dim + j, j * dim + i, np.arange(dim) * (dim + 1)
+    s = math.sqrt(0.5)
+    rows = np.concatenate([diag, up, up, lo, lo])
+    cols = np.concatenate([diag, up, lo, up, lo])
+    vals = np.concatenate([np.ones(dim), np.full(i.size, s), np.full(i.size, s),
+                           np.full(i.size, -1j * s), np.full(i.size, 1j * s)])
+    Q = sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    adH, D, d = _sparse_liouvillian(H, Ls)
+    Lr = (Q @ (-1j * adH + D) @ Q.conj().T).real
+    Lr.eliminate_zeros()
+    return Q, Lr, d
+
+
 def _lindblad_propagator(H: np.ndarray, Ls: list):
     """Return propagate(v, dt) = exp(L dt) v for the constant generator
-    L = -i[H, .] + D on row-major vec(rho), D the dissipator of the
-    sqrt(rate)-scaled jump matrices Ls.
+    L = -i[H, .] + D on row-major vec(rho) of a Hermitian rho, D the
+    dissipator of the sqrt(rate)-scaled jump matrices Ls.
 
     iL has its field of values in |Re z| <= R + d, |Im z| <= d, with R the
     spectral range of H and d = max(||D||_1, ||D||_inf) >= ||D||_2. With
@@ -359,21 +391,34 @@ def _lindblad_propagator(H: np.ndarray, Ls: list):
     (Chebyshev polynomials T_k, Bessel functions J_k), which needs about
     tau r sparse matrix-vector products. Each window is split into substeps
     with tau d <= CHEB_DAMPING_STEP, so the terms grow by at most ~e^4 and
-    round-off stays near machine precision. H must be Hermitian.
+    round-off stays near machine precision.
+
+    The series runs in real arithmetic: in the Hermitian basis of
+    _real_liouvillian, with Y = 2 L_r / r, the terms S_k = (-i)^k T_k(iY/2) v
+    obey S_0 = v, S_1 = Y v / 2, S_{k+1} = Y S_k + S_{k-1}, so that
+    exp(tau L_r) v = sum_k (2 - [k = 0]) J_k(tau r) S_k, one real sparse
+    matrix-vector product per term. propagate evolves the Hermitian part of
+    v and returns a Hermitian vec(rho). The Bessel weights are computed once
+    per distinct substep length. H must be Hermitian.
     """
-    adH, D, d = _sparse_liouvillian(H, Ls)
+    Q, Lr, d = _real_liouvillian(H, Ls)
+    Qh = Q.conj().T.tocsr()
     lam = np.linalg.eigvalsh(H)
     r = float(lam[-1] - lam[0]) + d
     if r == 0.0:  # zero generator: any positive scale gives the identity
         r = 1.0
-    A = ((2j / r) * (-1j * adH + D)).tocsr()
+    Y = (2.0 / r) * Lr
+    coefs: dict = {}
 
     def propagate(v: np.ndarray, dt: float) -> np.ndarray:
         nsub = max(1, math.ceil(dt * d / CHEB_DAMPING_STEP))
-        coef = _bessel_weights(dt / nsub * r)
+        tau = dt / nsub
+        if tau not in coefs:
+            coefs[tau] = _bessel_weights(tau * r)
+        x = (Q @ v).real
         for _ in range(nsub):
-            v = _chebyshev_series(lambda u: A @ u, v, coef)
-        return v
+            x = _chebyshev_series(lambda u: Y @ u, x, coefs[tau], sign=1)
+        return Qh @ x
 
     return propagate
 
@@ -470,7 +515,8 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     coefs: dict = {}
     for k, h in enumerate(steps):
         if h not in coefs:
-            coefs[h] = (np.exp(-1j * h * center), _bessel_weights(h * radius))
+            w = _bessel_weights(h * radius)
+            coefs[h] = (np.exp(-1j * h * center), w * (-1j) ** np.arange(w.size))
         phase, coef = coefs[h]
         for wk in (weights[:, :, 2 * k], weights[:, :, 2 * k + 1]):
             def apply_a(u, wk=wk):
@@ -499,7 +545,10 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     A constant Hamiltonian (an Operator, or a Schedule without envelopes) is
     propagated window by window with a Chebyshev expansion of exp(L dt) in
     the sparse Liouvillian, accurate to about machine precision for any
-    increasing t_span; nsteps is then 0. A schedule with envelopes is
+    increasing t_span; nsteps is then 0. That route works in a Hermitian
+    basis in real arithmetic, so it evolves the Hermitian part
+    (rho0 + rho0†)/2 and drops the anti-Hermitian part, which DensityMatrix
+    bounds by HERMITIAN_ATOL. A schedule with envelopes is
     integrated on vec(rho) by the CF4 scheme of evolve_ket, each exponential
     a Chebyshev series in the sparse Liouvillian of its half-step; nsteps is
     then the number of CF4 intervals taken, and t_span must lie on the
@@ -646,18 +695,23 @@ def liouvillian_matrix(h: Operator, jumps: list) -> np.ndarray:
 
 @dataclass
 class ExpFit:
-    """Single-exponential fit A exp(-t/T) + C with RMS residual."""
+    """Single-exponential fit A exp(-t/T) + C with RMS residual; fell_back
+    is set when the nonlinear refinement failed and the log-linear estimate
+    was kept."""
 
     T: float
     amplitude: float
     offset: float
     residual_rms: float
+    fell_back: bool = False
 
 
 def fit_exponential(t: np.ndarray, y: np.ndarray, floor: float = FIT_FLOOR,
                     with_offset: bool = False) -> ExpFit:
     """Log-linear least squares over the window y > floor, then nonlinear
-    refinement. Raises FitDiverged when no decaying fit exists.
+    refinement. When curve_fit raises RuntimeError (no convergence), the
+    log-linear estimate is returned with offset 0 and fell_back set. Raises
+    FitDiverged when no decaying fit exists.
     """
     t = np.asarray(t, float)
     y = np.asarray(y, float)
@@ -670,6 +724,7 @@ def fit_exponential(t: np.ndarray, y: np.ndarray, floor: float = FIT_FLOOR,
     if slope >= 0:
         raise FitDiverged(f"non-decaying signal (log-slope {slope:.3g} >= 0)")
     T0, A0 = -1.0 / slope, math.exp(intercept)
+    fell_back = False
     try:
         if with_offset:
             p, _ = curve_fit(lambda tt, a, T, c: a * np.exp(-tt / T) + c,
@@ -680,12 +735,13 @@ def fit_exponential(t: np.ndarray, y: np.ndarray, floor: float = FIT_FLOOR,
                              t, y, p0=[A0, T0], maxfev=20000)
             a_fit, T_fit, c_fit = float(p[0]), float(p[1]), 0.0
     except RuntimeError:
-        a_fit, T_fit, c_fit = A0, T0, 0.0
+        a_fit, T_fit, c_fit, fell_back = A0, T0, 0.0, True
     if T_fit <= 0:
         raise FitDiverged(f"refined time constant {T_fit:.3g} <= 0")
     resid = y - (a_fit * np.exp(-t / T_fit) + c_fit)
     return ExpFit(T=T_fit, amplitude=a_fit, offset=c_fit,
-                  residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+                  residual_rms=float(np.sqrt(np.mean(resid ** 2))),
+                  fell_back=fell_back)
 
 
 # ----------------------------------------------------------------- lifetimes

@@ -16,9 +16,10 @@ from kerrcat import (BathSpec, DensityMatrix, DetuningNoise, JumpTerm,
                      coherent_state, creation,
                      default_snail, default_truncation, evolve, evolve_ket,
                      fit_exponential, fock_state, kerr_cat_hamiltonian,
-                     lifetime_T_C, liouvillian_matrix, nbar_time_avg,
+                     lifetime_T_alpha, lifetime_T_C, liouvillian_matrix, nbar_time_avg,
                      number_operator, plateau_bath, standard_bath, tc_tradeoff)
-from kerrcat.dynamics import _lifetime_truncation
+from kerrcat import dynamics
+from kerrcat.dynamics import _lifetime_truncation, _real_liouvillian
 from kerrcat.errors import (FitDiverged, NonFiniteState, NonPositiveTemperature,
                             NotHermitian, ZeroG3)
 from kerrcat.fock import Operator
@@ -201,6 +202,26 @@ def test_evolve_constant_generator_matches_expm_and_stepper(dim, njump, seed,
     assert np.max(np.abs(res.final_state.mat - want)) < 1e-9
     assert np.max(np.abs(stepped.final_state.mat - want)) < 1e-7
     assert res.trace_drift < 1e-10
+
+
+@settings(deadline=None, max_examples=30)
+@given(dim=st.integers(2, 8), njump=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_hermitian_basis_makes_the_liouvillian_real(dim, njump, seed):
+    # the change of basis of the constant route against the dense oracle:
+    # Q L Q† is real and is the propagator's real generator, and Q is unitary
+    rng = np.random.default_rng(seed)
+    h, jumps = _random_lindblad(rng, dim, njump)
+    Q, Lr, _ = _real_liouvillian(h.mat, [j.scaled_matrix() for j in jumps])
+    q = Q.toarray()
+    want = q @ liouvillian_matrix(h, jumps) @ q.conj().T
+    assert np.max(np.abs(want.imag)) < 1e-12
+    assert np.max(np.abs(want.real - Lr.toarray())) < 1e-12
+    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    vec = (b + b.conj().T).reshape(-1)
+    x = Q @ vec
+    assert np.max(np.abs(x.imag)) < 1e-12
+    assert np.max(np.abs(Q.conj().T @ x - vec)) < 1e-12
 
 
 def test_evolve_zero_generator_keeps_state():
@@ -542,6 +563,23 @@ def test_fit_exponential_recovers_parameters():
     assert fit2.offset == pytest.approx(0.25, abs=1e-6)
 
 
+def test_fit_exponential_flags_its_log_linear_fallback(monkeypatch):
+    t = np.linspace(0, 5, 120)
+    y = 0.7 * np.exp(-t / 0.9) + 0.25
+    assert not fit_exponential(t, y, with_offset=True).fell_back
+
+    def no_convergence(*args, **kwargs):
+        raise RuntimeError("Optimal parameters not found")
+    monkeypatch.setattr(dynamics, "curve_fit", no_convergence)
+    fit = fit_exponential(t, y, with_offset=True)
+    m = y > dynamics.FIT_FLOOR
+    slope, intercept = np.polyfit(t[m], np.log(y[m]), 1)
+    assert fit.fell_back
+    assert fit.T == pytest.approx(-1.0 / slope, rel=1e-9)
+    assert fit.amplitude == pytest.approx(math.exp(intercept), rel=1e-9)
+    assert fit.offset == 0.0
+
+
 def test_fit_exponential_rejects_rising_signal():
     t = np.linspace(0, 3, 30)
     with pytest.raises(FitDiverged):
@@ -574,6 +612,26 @@ def test_lifetime_tc_against_formula_small_case():
                               t_max=2.5 * pred, trunc=tr)
     assert t_c == pytest.approx(pred, rel=0.02)
     assert resid < 1e-3
+
+
+def test_fitted_pointer_lifetime_is_converged_in_truncation(capsys):
+    # the C4 runs at 100x rates: eight more Fock levels move T_alpha < 1%
+    shifts = {}
+    for a2 in (1.0, 2.0, 4.0):
+        p = KerrCatParams(K=K, eps2=a2 * K)
+        noise = DetuningNoise(mean=0.03 * K, std=0.002 * K, trials=1, seed=0)
+        t_alpha = []
+        for extra in (0, 8):
+            tr = Truncation(default_truncation(p.alpha).dim + extra)
+            jumps = build_full_dissipators(standard_bath().scaled(100.0),
+                                           default_snail(), p.eps2, tr)
+            t_alpha.append(lifetime_T_alpha(p, jumps, noise, t_max=40.0,
+                                            trunc=tr)[0])
+        shifts[a2] = abs(t_alpha[1] / t_alpha[0] - 1.0)
+    with capsys.disabled():
+        print("\nT_alpha shift at dim + 8: "
+              + ", ".join(f"{s:.1e} (alpha²={a2:g})" for a2, s in shifts.items()))
+    assert max(shifts.values()) < 0.01, shifts
 
 
 def test_detuning_noise_draws_deterministic():
