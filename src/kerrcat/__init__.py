@@ -8,11 +8,13 @@ microwave stub-filter design. The ``kerrcat`` console script exposes the
 named experiments.
 
 Every evolution is an exponential. Under a constant Hamiltonian a ket is
-propagated exactly from one eigendecomposition of H, and a density matrix by
-a Chebyshev expansion of exp(L dt) in the sparse Liouvillian. Under a
-time-dependent schedule, kets and density matrices alike are integrated by a
-fourth-order commutator-free exponential scheme on the envelope grid, each
-exponential a Chebyshev series.
+propagated exactly from one eigendecomposition of H; under a time-dependent
+schedule it is integrated by a fourth-order commutator-free exponential
+scheme (CF4) on the envelope grid. A density matrix takes the same CF4
+scheme under any Hamiltonian, in real arithmetic in a Hermitian basis where
+the sparse Liouvillian L is real; without envelopes each interval is one
+exponential exp(L dt). Every exponential beyond the eigendecomposition is a
+Chebyshev series.
 """
 
 __version__ = "0.1.0"

@@ -167,7 +167,8 @@ def kerr_free_flight_gate(K: float, trunc: Truncation, state0,
 
     The generator is diagonal in the number basis, so the propagator is the
     exact phase diag(exp(i K t n(n-1))); a coherent state evolves into an
-    equal superposition of two rotated coherent branches.
+    equal superposition of two rotated coherent branches. A Ket is
+    normalized first, and its final state is also returned as final_ket.
     """
     if K <= 0:
         raise ValueError("K must be positive")
@@ -177,33 +178,23 @@ def kerr_free_flight_gate(K: float, trunc: Truncation, state0,
     times = np.linspace(0.0, duration, max(2, n_samples))
     observables = observables or {}
 
-    def propagate(amp: np.ndarray, t: float) -> np.ndarray:
-        return amp * np.exp(1j * K * t * phases)
-
-    if isinstance(state0, Ket):
-        series = {name: [] for name in observables}
-        amp0 = state0.normalized().amp
-        psi = amp0
-        for t in times:
-            psi = propagate(amp0, float(t))
-            for name, op in observables.items():
-                series[name].append(float(np.real(np.vdot(psi, op.mat @ psi))))
-        final = Ket(psi, trunc).to_density_matrix()
-    elif isinstance(state0, DensityMatrix):
-        series = {name: [] for name in observables}
-        rho = state0.mat
-        for t in times:
-            u = np.exp(1j * K * float(t) * phases)
-            rho_t = (u[:, None] * state0.mat) * u.conj()[None, :]
-            rho = rho_t
-            for name, op in observables.items():
-                series[name].append(float(np.real(np.trace(op.mat @ rho_t))))
-        final = DensityMatrix(rho, trunc)
-    else:
+    if not isinstance(state0, (Ket, DensityMatrix)):
         raise TypeError(f"state0 must be Ket or DensityMatrix, got {type(state0)}")
+    is_ket = isinstance(state0, Ket)
+    start = state0.normalized().amp if is_ket else state0.mat
+    series = {name: [] for name in observables}
+    for t in times:
+        u = np.exp(1j * K * float(t) * phases)
+        state = u * start if is_ket else (u[:, None] * start) * u.conj()[None, :]
+        for name, op in observables.items():
+            value = np.vdot(state, op.mat @ state) if is_ket else np.trace(op.mat @ state)
+            series[name].append(float(np.real(value)))
+    final_ket = Ket(state, trunc) if is_ket else None
+    final = final_ket.to_density_matrix() if is_ket else DensityMatrix(state, trunc)
     return EvolutionResult(times=times,
                            observables={k: np.asarray(v) for k, v in series.items()},
-                           final_state=final, nsteps=0, trace_drift=0.0)
+                           final_state=final, nsteps=0, trace_drift=0.0,
+                           final_ket=final_ket)
 
 
 def simulate_z_rotation(params: KerrCatParams, omega_z: float, theta_z: float,

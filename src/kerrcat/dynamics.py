@@ -9,18 +9,16 @@ angular (rad/us). Each class of problem has one route:
   commutator-free exponential scheme CF4 on the envelope grid, each
   exponential a Chebyshev series (:func:`_cf4`, which also advances a block
   of kets at once for the gate chevron);
-* a density matrix under a constant Hamiltonian is propagated by a Chebyshev
-  expansion of exp(L dt) in the sparse Liouvillian L, run in real arithmetic
-  on the coordinates of rho in an orthonormal Hermitian basis, where L is a
-  real matrix (:func:`_real_liouvillian`);
-* a density matrix under a schedule with envelopes is integrated by the same
-  CF4 scheme on vec(rho), each exponential a Chebyshev series in the sparse
-  Liouvillian, with intervals cut by the damping rule of the constant route.
+* a density matrix, under a constant Hamiltonian or a schedule, is
+  integrated by the same CF4 scheme in real arithmetic, on the coordinates
+  of rho in an orthonormal Hermitian basis where the sparse Liouvillian L is
+  a real matrix (:func:`_real_liouvillian`). Without envelopes an interval
+  is one exponential exp(L dt), with two per interval under envelopes.
 
 Every route is an exponential: the Chebyshev routes share one series
 (:func:`_chebyshev_series`) and one construction of the sparse Liouvillian
 (:func:`_sparse_liouvillian`). The tests check the ket routes against
-``expm`` and ``solve_ivp``, and the density matrix routes against a
+``expm`` and ``solve_ivp``, and the density matrix route against a
 matrix-exponential solution of the vectorized generator and ``solve_ivp``.
 """
 from __future__ import annotations
@@ -42,10 +40,10 @@ from .model import KerrCatParams, SnailParams, kerr_cat_hamiltonian
 from .units import HBAR_OVER_KB_MK, MHZ
 
 EVOLVE_PSD_ATOL = 1e-6
-# Chebyshev series of a dissipative generator: each substep tau (of a window
-# of the constant route, or a CF4 interval) keeps tau * (damping bound) at
-# most this, which bounds the growth of the Chebyshev terms by ~e^4; terms
-# whose Bessel coefficient is below CHEB_TAIL are dropped.
+# Chebyshev series of a dissipative generator: each piece tau of a CF4
+# interval keeps tau * (damping bound of its exponential) at most this, which
+# bounds the growth of the Chebyshev terms by ~e^4; terms whose Bessel
+# coefficient is below CHEB_TAIL are dropped.
 CHEB_DAMPING_STEP = 4.0
 CHEB_TAIL = 1e-17
 # Sample times may pass the ends of an envelope grid, and may sit off a grid
@@ -307,8 +305,8 @@ def _check_hermitian(H: np.ndarray) -> None:
 def _bessel_weights(x: float) -> np.ndarray:
     """Weights (2 - [k = 0]) J_k(x) of the Chebyshev series
     exp(-i x X) = sum_k (2 - [k = 0]) (-i)^k J_k(x) T_k(X) for X with
-    spectrum in [-1, 1] (see _lindblad_propagator for a dissipative X);
-    terms with |J_k(x)| below CHEB_TAIL are dropped."""
+    spectrum in [-1, 1] (see _cf4 for a dissipative X); terms with
+    |J_k(x)| below CHEB_TAIL are dropped."""
     k = np.arange(int(x + 60.0 + 10.0 * x ** (1.0 / 3.0)))
     bessel = jv(k, x)
     m = max(2, int(np.nonzero(np.abs(bessel) > CHEB_TAIL)[0][-1]) + 1)
@@ -380,51 +378,8 @@ def _real_liouvillian(H: np.ndarray, Ls: list):
     return Q, Lr, d
 
 
-def _lindblad_propagator(H: np.ndarray, Ls: list):
-    """Return propagate(v, dt) = exp(L dt) v for the constant generator
-    L = -i[H, .] + D on row-major vec(rho) of a Hermitian rho, D the
-    dissipator of the sqrt(rate)-scaled jump matrices Ls.
-
-    iL has its field of values in |Re z| <= R + d, |Im z| <= d, with R the
-    spectral range of H and d = max(||D||_1, ||D||_inf) >= ||D||_2. With
-    r = R + d, exp(tau L) = sum_k (2 - [k = 0]) (-i)^k J_k(tau r) T_k(iL / r)
-    (Chebyshev polynomials T_k, Bessel functions J_k), which needs about
-    tau r sparse matrix-vector products. Each window is split into substeps
-    with tau d <= CHEB_DAMPING_STEP, so the terms grow by at most ~e^4 and
-    round-off stays near machine precision.
-
-    The series runs in real arithmetic: in the Hermitian basis of
-    _real_liouvillian, with Y = 2 L_r / r, the terms S_k = (-i)^k T_k(iY/2) v
-    obey S_0 = v, S_1 = Y v / 2, S_{k+1} = Y S_k + S_{k-1}, so that
-    exp(tau L_r) v = sum_k (2 - [k = 0]) J_k(tau r) S_k, one real sparse
-    matrix-vector product per term. propagate evolves the Hermitian part of
-    v and returns a Hermitian vec(rho). The Bessel weights are computed once
-    per distinct substep length. H must be Hermitian.
-    """
-    Q, Lr, d = _real_liouvillian(H, Ls)
-    Qh = Q.conj().T.tocsr()
-    lam = np.linalg.eigvalsh(H)
-    r = float(lam[-1] - lam[0]) + d
-    if r == 0.0:  # zero generator: any positive scale gives the identity
-        r = 1.0
-    Y = (2.0 / r) * Lr
-    coefs: dict = {}
-
-    def propagate(v: np.ndarray, dt: float) -> np.ndarray:
-        nsub = max(1, math.ceil(dt * d / CHEB_DAMPING_STEP))
-        tau = dt / nsub
-        if tau not in coefs:
-            coefs[tau] = _bessel_weights(tau * r)
-        x = (Q @ v).real
-        for _ in range(nsub):
-            x = _chebyshev_series(lambda u: Y @ u, x, coefs[tau], sign=1)
-        return Qh @ x
-
-    return propagate
-
-
 def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = None,
-         envs: np.ndarray | None = None):
+         envs=None):
     """Advance y through sched with the fourth-order commutator-free
     exponential integrator CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519
     (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), yielding
@@ -432,11 +387,14 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
 
     With Ls None, y is a block of kets (dim x nb) under
     H_b(t) = h0 + sum_e c_eb(t) M_e + c_eb*(t) M_e†: every column shares h0,
-    the envelope operators M_e and the envelope grid of sched, and envs
-    (nenv x nb x nsamp) holds each column's own samples (by default the
-    schedule's, for one column). Otherwise y is row-major vec(rho) (dim² x 1)
+    the envelope operators M_e and the envelope grid of sched, and envs[e]
+    (nb x nsamp) holds each column's own samples of envelope e (by default
+    the schedule's, for one column). Otherwise y is row-major vec(rho), 1-d,
     under L(t) = -i[H(t), .] + D, D the dissipator of the sqrt(rate)-scaled
-    jump matrices Ls; CF4 holds for any linear y' = A(t) y.
+    jump matrices Ls; CF4 holds for any linear y' = A(t) y. The run is in
+    real arithmetic on x = (Q vec(rho)).real, the coordinates of rho in the
+    Hermitian basis of _real_liouvillian, so it evolves the Hermitian part
+    of rho and yields the Hermitian vec(rho) = Q† x.
 
     The intervals are those of the envelope grid, cut at every sample time,
     so the envelope is linear on each. An interval of length h is
@@ -444,92 +402,111 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     with w1 = a1 c1 + a2 c2, w2 = a2 c1 + a1 c2, a1,2 = 1/4 ± sqrt(3)/6 and
     c1, c2 the envelope at the Gauss points 1/2 ∓ sqrt(3)/6 of the interval;
     its error is fifth order in h. G0 = h0/2 for kets. For rho,
-    G0 = (ad h0 + i D)/2 with ad X = [X, .], a drive term P acts as ad P, and
-    the field of values of G has |Im z| <= d/2 (d >= ||D||_2); intervals are
-    cut further into equal pieces with h d/2 <= CHEB_DAMPING_STEP, which
-    keeps the Chebyshev terms bounded as in _lindblad_propagator. Each
-    exponential is a Chebyshev series about the center of the spectrum of
-    G0, with a radius taken once per call: half the range of h0 (plus d/2
-    for rho), plus max |weight| times the row-sum norm of each Hermitian
-    drive term. h0 must be Hermitian.
+    G0 = (ad h0 + i D)/2 with ad X = [X, .], and a drive term P acts as
+    ad P: the exponent -i h G is h times L_r/2 plus real weights times the
+    real matrices Q(-i ad P)Q†. Without envelopes the two exponentials merge
+    into one, exp(-i h G0) with G0 = h0 or ad h0 + i D, so G0, its center,
+    the radius and the damping bound below are those of nexp = 1 exponential
+    per interval instead of 2.
+
+    For rho the field of values of G0 has |Im z| <= d/nexp
+    (d >= ||D||_2 from _sparse_liouvillian), and intervals are cut further
+    into equal pieces with h d/nexp <= CHEB_DAMPING_STEP, so the Chebyshev
+    terms grow by at most ~e^4 and round-off stays near machine precision.
+    Each exponential is a Chebyshev series (_chebyshev_series) about the
+    center of the spectrum of G0 (0 for rho), with a radius taken once per
+    call: the half-width of that spectrum, (range of h0)/(2 nexp) for kets
+    and (range of h0 + d)/nexp for rho, plus max |weight| times the row-sum
+    norm of each Hermitian drive term (of ad P for rho). For kets the series
+    is in T_k((G - center)/radius) with weights (-i)^k J_k; for rho it is
+    the real recurrence (sign +1) in the real exponent, with real weights
+    J_k. An exponential costs about h * radius matrix-vector products; the
+    Bessel weights are computed once per distinct interval length. h0 must
+    be Hermitian.
 
     Raises NonFiniteState, naming the start of the interval, when the
     spectral bound or the state is not finite.
     """
     sched.check_span(times)
     if envs is None:
-        envs = np.array([env for env, _ in sched.envelopes])[:, None, :]
+        envs = [env[None] for env, _ in sched.envelopes]
+    nexp = 2 if sched.envelopes else 1
     H0 = sched.h0.mat
-    n, nb, nsamp = y.shape[0], y.shape[1], envs.shape[-1]
     lam = np.linalg.eigvalsh(H0)
     if Ls is None:
-        center, radius, damping = 0.25 * (lam[0] + lam[-1]), 0.25 * (lam[-1] - lam[0]), 0.0
-        mats = [0.5 * H0 - center * np.eye(n)]
+        center = (lam[0] + lam[-1]) / (2 * nexp)
+        radius, damping, sign = (lam[-1] - lam[0]) / (2 * nexp), 0.0, -1
+        mats = [H0 / nexp - center * np.eye(H0.shape[0])]
     else:
-        adH, D, d = _sparse_liouvillian(H0, Ls)
-        center, radius, damping = 0.0, 0.5 * (lam[-1] - lam[0] + d), 0.5 * d
-        mats = [0.5 * (adH + 1j * D)]
+        Q, Lr, d = _real_liouvillian(H0, Ls)
+        Qh = Q.conj().T.tocsr()
+        center, radius, damping, sign = 0.0, (lam[-1] - lam[0] + d) / nexp, d / nexp, 1
+        mats = [Lr / nexp]
+        y = (Q @ y).real
 
     tol = SPAN_RTOL * sched.dt
-    grid = sched.t0 + sched.dt * np.arange(nsamp)
+    grid = sched.t0 + sched.dt * np.arange(max((env.size for env, _ in sched.envelopes),
+                                               default=0))
     inner = grid[(grid > times[0] + tol) & (grid < times[-1] - tol)]
     j = np.searchsorted(times, inner)
     inner = inner[np.minimum(inner - times[j - 1], times[j] - inner) > tol]
     cuts = np.union1d(times, inner)
     # damping substeps: interval m becomes nsub[m] equal intervals
     nsub = np.maximum(1, np.ceil(np.diff(cuts) * damping / CHEB_DAMPING_STEP)).astype(int)
-    owner = np.repeat(np.arange(nsub.size), nsub)
-    part = np.arange(owner.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
-    cuts = np.append(cuts[owner] + (part / nsub[owner]) * np.diff(cuts)[owner], cuts[-1])
-    steps = np.diff(cuts)
-
-    # envelope at both Gauss points of every interval: (nenv, nb, nint, 2)
-    x = (cuts[:-1, None] + steps[:, None] * CF4_NODES - sched.t0) / sched.dt
-    i = np.minimum(x.astype(int), nsamp - 2)
-    f = x - i
-    c = envs[..., i] * (1.0 - f) + envs[..., i + 1] * f
-    w = c @ CF4_MIX  # [..., 0] weighs the first exponential, [..., 1] the second
+    steps = np.repeat(np.diff(cuts) / nsub, nsub)
+    part = np.arange(steps.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    starts = np.repeat(cuts[:-1], nsub) + part * steps
+    done = np.cumsum(nsub)[np.searchsorted(cuts, times[1:]) - 1]
 
     # w M + w* M† = Re(w) (M + M†) + Im(w) i(M - M†): Hermitian terms with
-    # real weights; a term whose operator or weights vanish is dropped
+    # real weights (nb x interval x exponential); a term whose operator or
+    # weights vanish is dropped
     weights = []
     for e, (_, op) in enumerate(sched.envelopes):
+        x = (starts[:, None] + steps[:, None] * CF4_NODES - sched.t0) / sched.dt
+        i = np.minimum(x.astype(int), envs[e].shape[-1] - 2)
+        f = x - i
+        w = (envs[e][:, i] * (1.0 - f) + envs[e][:, i + 1] * f) @ CF4_MIX
         M = op.mat
-        for mat, wt in ((M + M.conj().T, w[e].real), (1j * (M - M.conj().T), w[e].imag)):
+        for mat, wt in ((M + M.conj().T, w.real), (1j * (M - M.conj().T), w.imag)):
             if np.any(mat) and np.any(wt):
                 g = mat if Ls is None else _ad(mat)
                 radius += float(np.max(np.abs(wt))) * float(abs(g).sum(axis=1).max())
-                mats.append(g)
-                weights.append(wt.reshape(nb, -1))
+                mats.append(g if Ls is None else (Q @ (-1j * g) @ Qh).real)
+                weights.append(wt)
     if not math.isfinite(radius):
-        raise NonFiniteState(f"non-finite spectral bound at t = {cuts[0]:.4g} us")
+        raise NonFiniteState(f"non-finite spectral bound at t = {starts[0]:.4g} us")
     if radius == 0.0:  # zero generator: any positive scale gives the identity
         radius = 1.0
-    # A = 2 (G - center) / radius, for the G of either exponential
+    # A = 2 (G - center) / radius for kets, 2 B / radius for the real exponent
+    # h B of rho
     stack = (2.0 / radius) * (np.concatenate(mats) if Ls is None
                               else sparse.vstack(mats, format="csr"))
-    weights = np.array(weights).reshape(len(weights), nb, 2 * steps.size)
 
-    sample = np.searchsorted(cuts, times)
-    nxt = 1
+    nxt = 0
     coefs: dict = {}
     for k, h in enumerate(steps):
         if h not in coefs:
             w = _bessel_weights(h * radius)
-            coefs[h] = (np.exp(-1j * h * center), w * (-1j) ** np.arange(w.size))
+            coefs[h] = (np.exp(-1j * h * center),
+                        w * (-1j) ** np.arange(w.size) if Ls is None else w)
         phase, coef = coefs[h]
-        for wk in (weights[:, :, 2 * k], weights[:, :, 2 * k + 1]):
-            def apply_a(u, wk=wk):
-                p = (stack @ u).reshape(-1, n, nb)
+        for e in range(nexp):
+            def apply_a(u, wk=[wt[:, k, e] for wt in weights]):
+                p = (stack @ u).reshape(-1, *u.shape)
                 out = p[0]
-                for q in range(len(wk)):
-                    out = out + wk[q] * p[q + 1]
+                for q, wq in enumerate(wk):
+                    out = out + wq * p[q + 1]
                 return out
-            y = phase * _chebyshev_series(apply_a, y, coef)
+            # with no drive term A is the stack itself, applied without the
+            # wrapper's cost on every term
+            y = _chebyshev_series(apply_a if weights else stack.__matmul__, y, coef, sign)
+            if center:  # 0 for rho, whose x stays real
+                y = phase * y
         if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"non-finite state at t = {cuts[k]:.4g} us")
-        if sample[nxt] == k + 1:
-            yield y, k + 1
+            raise NonFiniteState(f"non-finite state at t = {starts[k]:.4g} us")
+        if done[nxt] == k + 1:
+            yield (y if Ls is None else Qh @ y), k + 1
             nxt += 1
 
 
@@ -542,21 +519,22 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     early_stop: optional (observable_name, threshold) — stop sampling once
     that observable falls below threshold (used by lifetime fits).
 
-    A constant Hamiltonian (an Operator, or a Schedule without envelopes) is
-    propagated window by window with a Chebyshev expansion of exp(L dt) in
-    the sparse Liouvillian, accurate to about machine precision for any
-    increasing t_span; nsteps is then 0. That route works in a Hermitian
-    basis in real arithmetic, so it evolves the Hermitian part
+    Every h, an Operator or a Schedule, is integrated by the CF4 scheme of
+    evolve_ket (:func:`_cf4`), each exponential a Chebyshev series in the
+    sparse Liouvillian. The run is in real arithmetic on the coordinates of
+    rho in an orthonormal Hermitian basis, so it evolves the Hermitian part
     (rho0 + rho0†)/2 and drops the anti-Hermitian part, which DensityMatrix
-    bounds by HERMITIAN_ATOL. A schedule with envelopes is
-    integrated on vec(rho) by the CF4 scheme of evolve_ket, each exponential
-    a Chebyshev series in the sparse Liouvillian of its half-step; nsteps is
-    then the number of CF4 intervals taken, and t_span must lie on the
-    envelope grid.
+    bounds by HERMITIAN_ATOL. A constant Hamiltonian (an Operator, or a
+    Schedule without envelopes) takes one exponential exp(L dt) per
+    interval between samples, accurate to about machine precision for any
+    increasing t_span. A schedule with envelopes takes two per interval of
+    the envelope grid cut at the sample times, and t_span must lie on that
+    grid. Intervals are cut further into pieces that keep the damping of
+    each exponential bounded; nsteps is the number of pieces taken.
 
     Raises NotHermitian for an h0 that is not Hermitian, ValueError for
     sample times outside the envelope grid, and NonFiniteState when the
-    spectral bound or the state of the CF4 route is not finite.
+    spectral bound or the state is not finite.
     """
     sched = _as_schedule(h)
     times = np.asarray(t_span, dtype=float)
@@ -576,17 +554,7 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     Ls = [j.scaled_matrix() for j in jumps if j.rate > 0.0]
     _check_hermitian(sched.h0.mat)
     r = rho0.mat.astype(np.complex128)
-
-    if not sched.envelopes:
-        propagate = _lindblad_propagator(sched.h0.mat, Ls)
-
-        def windows(v):
-            for dt in np.diff(times):
-                v = propagate(v, dt)
-                yield v, 0
-        states = windows(r.reshape(-1))
-    else:
-        states = _cf4(sched, times, r.reshape(-1, 1), Ls)
+    states = _cf4(sched, times, r.reshape(-1), Ls)
 
     series: dict = {name: [] for name in observables}
     total_steps = 0
@@ -676,8 +644,8 @@ def liouvillian_matrix(h: Operator, jumps: list) -> np.ndarray:
     """Dense generator on row-major-vectorized rho: d vec(rho)/dt = L vec(rho).
 
     Small systems only: the independent oracle that the tests check both
-    density-matrix routes against through its matrix exponential. It shares
-    no code with the sparse Liouvillian those routes build.
+    density-matrix route against through its matrix exponential. It shares
+    no code with the sparse Liouvillian that route builds.
     """
     H = h.mat
     dim = H.shape[0]
@@ -826,15 +794,14 @@ def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
 
 
 def lifetime_T_C(params: KerrCatParams, bath_jumps: list, t_max: float,
-                 seed: int | None = None, trunc: Truncation | None = None,
+                 trunc: Truncation | None = None,
                  nwindows: int = 120) -> tuple[float, float]:
     """Cat-superposition lifetime: prepare the even-parity manifold state,
     track <X> (even minus odd projector weight), fit exponential-plus-offset
     (alternating-parity loss rates leave a nonzero steady X). Returns
-    (T_C, fit residual RMS); inf when no decay is measurable. The seed
-    argument is accepted for interface symmetry; the run is deterministic.
+    (T_C, fit residual RMS); inf when no decay is measurable. The run is
+    deterministic.
     """
-    del seed
     trunc = _lifetime_truncation(params, trunc)
     h = kerr_cat_hamiltonian(params, trunc)
     frame = build_cat_frame(h)

@@ -88,6 +88,12 @@ def _kerr_params(p: dict) -> KerrCatParams:
                          detuning=float(p.get("detuning_over_K", 0.0)) * K)
 
 
+def _truncation(p: dict, params: KerrCatParams) -> Truncation:
+    """The run's "dim" parameter if set, else the default for the cat size."""
+    return Truncation(int(p["dim"]) if p.get("dim")
+                      else default_truncation(params.alpha).dim)
+
+
 def _full_bath_jumps(p: dict, rate_scale: float, trunc: Truncation,
                      eps2: complex) -> list:
     bath = BathSpec(kappa_half=1.0 / float(p["T1_us"]),
@@ -103,8 +109,7 @@ def _full_bath_jumps(p: dict, rate_scale: float, trunc: Truncation,
 def exp_spectrum(ctx: RunContext) -> None:
     p = ctx.params
     params = _kerr_params(p)
-    dim = int(p["dim"]) if p.get("dim") else default_truncation(params.alpha).dim
-    trunc = Truncation(dim)
+    trunc = _truncation(p, params)
     h = kerr_cat_hamiltonian(params, trunc)
     n_levels = int(p["n_levels"])
     exc = well_excitations(h, n_levels)
@@ -122,8 +127,7 @@ def exp_spectrum(ctx: RunContext) -> None:
 def exp_chevron(ctx: RunContext) -> None:
     p = ctx.params
     params = _kerr_params(p)
-    trunc = Truncation(int(p["dim"]) if p.get("dim")
-                       else default_truncation(params.alpha).dim)
+    trunc = _truncation(p, params)
     tgs = np.linspace(float(p["tg_min_us"]), float(p["tg_max_us"]), int(p["n_tg"]))
     d0s = np.linspace(float(p["d0k_min"]), float(p["d0k_max"]), int(p["n_d0"]))
     grid = chevron_map(params, trunc, tgs, d0s, n_gates=int(p["n_gates"]))
@@ -139,8 +143,7 @@ def exp_chevron(ctx: RunContext) -> None:
 def exp_rabi_phase(ctx: RunContext) -> None:
     p = ctx.params
     params = _kerr_params(p)
-    trunc = Truncation(int(p["dim"]) if p.get("dim")
-                       else default_truncation(params.alpha).dim)
+    trunc = _truncation(p, params)
     omega_z = MHZ * float(p["omega_z_MHz"])
     duration = float(p["duration_us"])
     thetas = np.linspace(0.0, math.pi, int(p["n_theta"]))
@@ -215,8 +218,7 @@ def exp_lifetime_coherent(ctx: RunContext) -> None:
 def exp_lifetime_detuned(ctx: RunContext) -> None:
     p = ctx.params
     params = _kerr_params(p)
-    trunc = Truncation(int(p["dim"]) if p.get("dim")
-                       else default_truncation(params.alpha).dim)
+    trunc = _truncation(p, params)
     jumps = _full_bath_jumps(p, ctx.rate_scale, trunc, params.eps2)
     deltas_over_k = np.linspace(float(p["delta_min_over_K"]),
                                 float(p["delta_max_over_K"]), int(p["n_delta"]))

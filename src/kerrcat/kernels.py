@@ -2,11 +2,11 @@
 program.
 
 Every evolution in :mod:`kerrcat.dynamics` is an exponential route (exact
-eigendecomposition, a Chebyshev propagator, or the CF4 scheme). This module
-is kept only because the benchmark in ``perfbench/`` looks its entry points
-up by name (``backend()``/``warmup()``, the traced ``lb_step``/``se_step``
-and their right-hand sides, the tableau); it goes with the next change to
-the benchmark.
+eigendecomposition, or the CF4 scheme with Chebyshev-series exponentials).
+This module is kept only because the benchmark in ``perfbench/`` looks its
+entry points up by name (``backend()``/``warmup()``, the traced
+``lb_step``/``se_step`` and their right-hand sides, the tableau); it goes
+with the next change to the benchmark.
 
 :func:`_advance` holds the integration loop once; two entry points hand it
 the right-hand side of their problem as a closure:

@@ -235,6 +235,17 @@ def test_free_flight_density_matrix_matches_ket():
                        atol=1e-12)
 
 
+def test_free_flight_ket_sets_final_ket():
+    trunc = Truncation(20)
+    psi = coherent_state(1.1, trunc)
+    res = kerr_free_flight_gate(0.8, trunc, psi)
+    n = np.arange(trunc.dim)
+    want = psi.amp * np.exp(1j * (math.pi / 2.0) * n * (n - 1))
+    assert np.max(np.abs(res.final_ket.amp - want)) < 1e-12
+    assert np.max(np.abs(res.final_state.mat - np.outer(want, want.conj()))) < 1e-12
+    assert kerr_free_flight_gate(0.8, trunc, psi.to_density_matrix()).final_ket is None
+
+
 def test_free_flight_validation():
     trunc = Truncation(16)
     with pytest.raises(ValueError):

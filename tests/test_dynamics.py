@@ -175,8 +175,8 @@ def test_evolve_preserves_trace_and_positivity():
        gaps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
 def test_evolve_constant_generator_matches_expm_and_stepper(dim, njump, seed,
                                                             rate_scale, t0, gaps):
-    # the Chebyshev propagator against expm of the dense Liouvillian, and so
-    # is the CF4 route of schedules (reached through an all-zero envelope), on
+    # the constant route against expm of the dense Liouvillian, and so is
+    # the CF4 route of schedules (reached through an all-zero envelope), on
     # non-uniform sample times; rate_scale 30 makes both split into substeps
     rng = np.random.default_rng(seed)
     tr = Truncation(dim)
@@ -191,7 +191,7 @@ def test_evolve_constant_generator_matches_expm_and_stepper(dim, njump, seed,
     res = evolve(rho0, h, jumps, times, {"n": obs})
     zero = Schedule(h, [(np.zeros(2), obs)], dt=times[-1] - times[0], t0=times[0])
     stepped = evolve(rho0, zero, jumps, times, {"n": obs})
-    assert res.nsteps == 0 and stepped.nsteps > 0
+    assert res.nsteps >= times.size - 1 and stepped.nsteps > 0
     sup = liouvillian_matrix(h, jumps)
     for j, t in enumerate(times):
         want = (scipy.linalg.expm(sup * (t - times[0]))
@@ -204,12 +204,35 @@ def test_evolve_constant_generator_matches_expm_and_stepper(dim, njump, seed,
     assert res.trace_drift < 1e-10
 
 
+def test_evolve_constant_generator_takes_one_exponential_per_interval():
+    # the cost of the constant route: one exponential of the whole generator
+    # per interval between samples, cut into pieces by the damping rule at d;
+    # a schedule with (all-zero) envelopes takes two half-exponentials per
+    # interval, so its pieces are cut at d/2
+    tr = Truncation(5)
+    h = number_operator(tr)
+    jumps = [JumpTerm(annihilation(tr), 40.0), JumpTerm(number_operator(tr), 5.0)]
+    times = np.array([0.0, 0.02, 0.3, 0.35, 1.2])
+    d = dynamics._sparse_liouvillian(h.mat, [j.scaled_matrix() for j in jumps])[2]
+
+    def pieces(damping):
+        return sum(max(1, math.ceil(dt * damping / dynamics.CHEB_DAMPING_STEP))
+                   for dt in np.diff(times))
+
+    rho0 = fock_state(2, tr).to_density_matrix()
+    zero = Schedule(h, [(np.zeros(2), annihilation(tr))], dt=times[-1] - times[0])
+    assert pieces(d / 2) < pieces(d)
+    assert evolve(rho0, h, jumps, times).nsteps == pieces(d)
+    assert evolve(rho0, zero, jumps, times).nsteps == pieces(d / 2)
+
+
 @settings(deadline=None, max_examples=30)
 @given(dim=st.integers(2, 8), njump=st.integers(0, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_hermitian_basis_makes_the_liouvillian_real(dim, njump, seed):
-    # the change of basis of the constant route against the dense oracle:
-    # Q L Q† is real and is the propagator's real generator, and Q is unitary
+    # the change of basis of the density-matrix route against the dense
+    # oracle: Q L Q† is real and is the route's real generator, and Q is
+    # unitary
     rng = np.random.default_rng(seed)
     h, jumps = _random_lindblad(rng, dim, njump)
     Q, Lr, _ = _real_liouvillian(h.mat, [j.scaled_matrix() for j in jumps])
