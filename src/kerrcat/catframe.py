@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCat
-from .fock import DensityMatrix, Ket, Operator, Truncation
+from .fock import Ket, Operator, Truncation, expectation
 
 PARITY_CLASSIFY_MIN = 0.2
 
@@ -115,25 +115,17 @@ def build_cat_frame(h: Operator) -> CatFrame:
     )
 
 
+def _frame_state(state):
+    return state.normalized() if isinstance(state, Ket) else state
+
+
 def bloch_vector(frame: CatFrame, state) -> np.ndarray:
-    """(⟨x⟩, ⟨y⟩, ⟨z⟩) of a Ket or DensityMatrix in the cat frame."""
-    if isinstance(state, Ket):
-        amp = state.normalized().amp
-        vec = [float(np.real(np.vdot(amp, O.mat @ amp)))
-               for O in (frame.x, frame.y, frame.z)]
-    elif isinstance(state, DensityMatrix):
-        vec = [float(np.real(np.trace(O.mat @ state.mat)))
-               for O in (frame.x, frame.y, frame.z)]
-    else:
-        raise TypeError(f"unsupported state type {type(state)}")
-    return np.array(vec)
+    """(⟨x⟩, ⟨y⟩, ⟨z⟩) of a Ket (normalized first) or DensityMatrix in the
+    cat frame."""
+    st = _frame_state(state)
+    return np.array([expectation(O, st) for O in (frame.x, frame.y, frame.z)])
 
 
 def manifold_population(frame: CatFrame, state) -> float:
     """Probability weight inside the two-dimensional cat manifold."""
-    if isinstance(state, Ket):
-        amp = state.normalized().amp
-        return float(np.real(np.vdot(amp, frame.projector.mat @ amp)))
-    if isinstance(state, DensityMatrix):
-        return float(np.real(np.trace(frame.projector.mat @ state.mat)))
-    raise TypeError(f"unsupported state type {type(state)}")
+    return expectation(frame.projector, _frame_state(state))

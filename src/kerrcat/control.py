@@ -4,6 +4,12 @@ X rotations come from deforming the double well with a phase-modulated drive
 (an effective time-dependent detuning) or from free Kerr evolution with the
 stabilization off; Z rotations from a weak resonant drive projected into the
 manifold; state preparation from ramping the stabilization drive.
+
+Every protocol runs through the two evolution entry points of
+:mod:`kerrcat.dynamics`: ``evolve_ket`` for kets (exact under a constant
+Hamiltonian, CF4 on the envelope grid of a schedule) and ``evolve`` for
+density matrices (CF4 in real arithmetic). The gate chevron calls the CF4
+integrator directly, to advance a block of kets on one shared envelope grid.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from .fock import (DensityMatrix, Ket, Operator, Truncation, annihilation,
                    number_operator, parity_operator)
 from .model import KerrCatParams, kerr_cat_hamiltonian
 
-DEFAULT_SAMPLE_PERIOD = 1e-3  # us (1 ns)
+SAMPLE_PERIOD = 1e-3  # us (1 ns): envelope grid of the gate and the ramp
 RAMP_SATURATION = math.atanh(0.999)
 ZENO_DRIVE_WARN_FRACTION = 0.1
 
@@ -85,10 +91,11 @@ def effective_detuning(spec: XGateSpec, t) -> np.ndarray | float:
     return float(val[0]) if np.isscalar(t) else val.reshape(tt.shape)
 
 
-def x_gate_schedule(spec: XGateSpec, params: KerrCatParams, trunc: Truncation,
-                    sample_period: float = DEFAULT_SAMPLE_PERIOD) -> Schedule:
-    """Schedule for one gate: H_KC + effective_detuning(t) * a†a."""
-    nsamp = max(3, int(math.ceil(spec.Tg / sample_period)) + 1)
+def x_gate_schedule(spec: XGateSpec, params: KerrCatParams,
+                    trunc: Truncation) -> Schedule:
+    """Schedule for one gate: H_KC + effective_detuning(t) * a†a, sampled
+    every SAMPLE_PERIOD."""
+    nsamp = max(3, int(math.ceil(spec.Tg / SAMPLE_PERIOD)) + 1)
     t = np.linspace(0.0, spec.Tg, nsamp)
     env = effective_detuning(spec, t).astype(np.complex128)
     h0 = kerr_cat_hamiltonian(params, trunc)
@@ -163,46 +170,33 @@ def count_transfer_lobes(transfer: np.ndarray, threshold: float = 0.5) -> int:
 def kerr_free_flight_gate(K: float, trunc: Truncation, state0,
                           n_samples: int = 2,
                           observables: dict | None = None) -> EvolutionResult:
-    """Free evolution under -K a†²a² for exactly pi/(2K).
+    """Free evolution under H = -K a†²a² for exactly pi/(2K); a coherent
+    state evolves into an equal superposition of two rotated coherent
+    branches.
 
-    The generator is diagonal in the number basis, so the propagator is the
-    exact phase diag(exp(i K t n(n-1))); a coherent state evolves into an
-    equal superposition of two rotated coherent branches. A Ket is
-    normalized first, and its final state is also returned as final_ket.
+    H is a constant Operator (diagonal in the number basis, -K n(n-1)), so a
+    Ket is normalized and propagated exactly by evolve_ket (nsteps 0, final
+    state also returned as final_ket), and a DensityMatrix is integrated by
+    evolve without jumps.
     """
     if K <= 0:
         raise ValueError("K must be positive")
-    duration = math.pi / (2.0 * K)
     n = np.arange(trunc.dim, dtype=float)
-    phases = n * (n - 1.0)
-    times = np.linspace(0.0, duration, max(2, n_samples))
-    observables = observables or {}
-
-    if not isinstance(state0, (Ket, DensityMatrix)):
-        raise TypeError(f"state0 must be Ket or DensityMatrix, got {type(state0)}")
-    is_ket = isinstance(state0, Ket)
-    start = state0.normalized().amp if is_ket else state0.mat
-    series = {name: [] for name in observables}
-    for t in times:
-        u = np.exp(1j * K * float(t) * phases)
-        state = u * start if is_ket else (u[:, None] * start) * u.conj()[None, :]
-        for name, op in observables.items():
-            value = np.vdot(state, op.mat @ state) if is_ket else np.trace(op.mat @ state)
-            series[name].append(float(np.real(value)))
-    final_ket = Ket(state, trunc) if is_ket else None
-    final = final_ket.to_density_matrix() if is_ket else DensityMatrix(state, trunc)
-    return EvolutionResult(times=times,
-                           observables={k: np.asarray(v) for k, v in series.items()},
-                           final_state=final, nsteps=0, trace_drift=0.0,
-                           final_ket=final_ket)
+    h = Operator(np.diag(-K * n * (n - 1.0)), trunc, hermitian_hint=True)
+    times = np.linspace(0.0, math.pi / (2.0 * K), max(2, n_samples))
+    if isinstance(state0, Ket):
+        return evolve_ket(state0.normalized(), h, times, observables)
+    if isinstance(state0, DensityMatrix):
+        return evolve(state0, h, [], times, observables)
+    raise TypeError(f"state0 must be Ket or DensityMatrix, got {type(state0)}")
 
 
 def simulate_z_rotation(params: KerrCatParams, omega_z: float, theta_z: float,
-                        duration: float, trunc: Truncation,
-                        state0: Ket | None = None, n_samples: int = 501,
+                        duration: float, trunc: Truncation, n_samples: int = 501,
                         frame: CatFrame | None = None) -> EvolutionResult:
-    """Weak resonant drive (omega_z e^{i theta_z}/2) a† + h.c. on top of H_KC;
-    records cat-frame Bloch components x, y, z.
+    """Weak resonant drive (omega_z e^{i theta_z}/2) a† + h.c. on top of H_KC,
+    starting from the even cat frame.v_even; records cat-frame Bloch
+    components x, y, z.
 
     Warns when omega_z exceeds 10% of the manifold gap estimate 4 K alpha².
     """
@@ -214,14 +208,12 @@ def simulate_z_rotation(params: KerrCatParams, omega_z: float, theta_z: float,
     h = kerr_cat_hamiltonian(params, trunc)
     if frame is None:
         frame = build_cat_frame(h)
-    if state0 is None:
-        state0 = frame.v_even
     a = annihilation(trunc).mat
     drive = omega_z * np.exp(1j * theta_z)
     hd = Operator(h.mat + (drive / 2.0) * a.conj().T
                   + (np.conj(drive) / 2.0) * a, trunc, hermitian_hint=True)
     times = np.linspace(0.0, duration, n_samples)
-    return evolve_ket(state0, hd, times,
+    return evolve_ket(frame.v_even, hd, times,
                       {"x": frame.x, "y": frame.y, "z": frame.z})
 
 
@@ -270,21 +262,12 @@ class RampResult:
     final_ket: Ket | None = None
 
 
-def _ramp_profile(t: np.ndarray, tau: float, shape: str) -> np.ndarray:
-    if shape == "tanh":
-        return np.tanh(RAMP_SATURATION * t / tau)
-    if shape == "linear":
-        return np.clip(t / tau, 0.0, 1.0)
-    raise ValueError(f"unknown ramp shape {shape!r} (use 'linear' or 'tanh')")
-
-
 def stabilization_ramp(eps2_target: complex, tau_ramp: float,
                        params: KerrCatParams, trunc: Truncation | None = None,
-                       state0: Ket | None = None, shape: str = "tanh",
-                       t_total: float | None = None,
-                       sample_period: float = DEFAULT_SAMPLE_PERIOD) -> RampResult:
-    """Ramp the two-photon drive 0 -> eps2_target over tau_ramp (closed
-    system) and report fidelities to the even cat and +pointer states."""
+                       state0: Ket | None = None) -> RampResult:
+    """Ramp the two-photon drive 0 -> eps2_target over tau_ramp along
+    tanh(RAMP_SATURATION t / tau_ramp), sampled every SAMPLE_PERIOD (closed
+    system), and report fidelities to the even cat and +pointer states."""
     if tau_ramp <= 0:
         raise ValueError("tau_ramp must be positive")
     target = KerrCatParams(K=params.K, eps2=eps2_target, detuning=params.detuning)
@@ -292,10 +275,10 @@ def stabilization_ramp(eps2_target: complex, tau_ramp: float,
         trunc = default_truncation(target.alpha)
     if state0 is None:
         state0 = fock_state(0, trunc)
-    t_end = t_total if t_total is not None else tau_ramp
-    nsamp = max(3, int(math.ceil(t_end / sample_period)) + 1)
-    t = np.linspace(0.0, t_end, nsamp)
-    env = (_ramp_profile(t, tau_ramp, shape) * complex(eps2_target)).astype(np.complex128)
+    nsamp = max(3, int(math.ceil(tau_ramp / SAMPLE_PERIOD)) + 1)
+    t = np.linspace(0.0, tau_ramp, nsamp)
+    env = (np.tanh(RAMP_SATURATION * t / tau_ramp)
+           * complex(eps2_target)).astype(np.complex128)
     a = annihilation(trunc).mat
     ad = a.conj().T
     h0 = Operator(-params.K * (ad @ ad @ a @ a) + params.detuning * (ad @ a),
@@ -303,7 +286,7 @@ def stabilization_ramp(eps2_target: complex, tau_ramp: float,
     sched = Schedule(h0=h0, envelopes=[(env, Operator(ad @ ad, trunc))],
                      dt=t[1] - t[0], t0=0.0)
     par = parity_operator(trunc)
-    res = evolve_ket(state0, sched, np.array([0.0, t_end]), {"parity": par})
+    res = evolve_ket(state0, sched, np.array([0.0, tau_ramp]), {"parity": par})
     psi = res.final_ket.normalized()
     alpha = target.alpha
     even = cat_state(alpha, "even", trunc)
@@ -326,8 +309,7 @@ class PrepResult:
 
 
 def fock_to_cat_prep(phase: float, params: KerrCatParams, tau_ramp: float,
-                     trunc: Truncation | None = None,
-                     shape: str = "tanh") -> PrepResult:
+                     trunc: Truncation | None = None) -> PrepResult:
     """Prepare (|0> + e^{i phase}|1>)/sqrt(2), ramp the stabilization on, and
     report the pointer-state populations P(±alpha); P(+alpha) is sinusoidal
     in phase."""
@@ -337,7 +319,7 @@ def fock_to_cat_prep(phase: float, params: KerrCatParams, tau_ramp: float,
     amp[0] = 1.0 / math.sqrt(2.0)
     amp[1] = np.exp(1j * phase) / math.sqrt(2.0)
     ramp = stabilization_ramp(params.eps2, tau_ramp, params, trunc,
-                              state0=Ket(amp, trunc), shape=shape)
+                              state0=Ket(amp, trunc))
     frame = build_cat_frame(kerr_cat_hamiltonian(params, trunc))
     psi = ramp.final_ket
     return PrepResult(

@@ -57,6 +57,10 @@ CF4_MIX = np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0],
                     [0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0]])
 FIT_FLOOR = 0.05
 LIFETIME_SENTINEL_DROP = 0.02
+# A single-trial T_alpha run stops sampling once <Z> falls below this.
+LIFETIME_EARLY_STOP = 0.12
+# Sample windows of a T_C run and of each point of a detuning sweep.
+LIFETIME_WINDOWS = 120
 
 
 # ----------------------------------------------------------------- bath
@@ -532,6 +536,13 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     grid. Intervals are cut further into pieces that keep the damping of
     each exponential bounded; nsteps is the number of pieces taken.
 
+    There is no error control: under envelopes the envelope grid sets the
+    accuracy. Strong loss against the grid spacing (interval * d/2 >~ 1,
+    d the dissipator bound) together with an envelope that jumps by O(1)
+    between samples misses solve_ivp DOP853 by up to 3e-5; resampling the
+    envelope finer restores the accuracy. The lossy X gate has
+    interval * d/2 ~ 7e-4.
+
     Raises NotHermitian for an h0 that is not Hermitian, ValueError for
     sample times outside the envelope grid, and NonFiniteState when the
     spectral bound or the state is not finite.
@@ -674,18 +685,18 @@ class ExpFit:
     fell_back: bool = False
 
 
-def fit_exponential(t: np.ndarray, y: np.ndarray, floor: float = FIT_FLOOR,
+def fit_exponential(t: np.ndarray, y: np.ndarray,
                     with_offset: bool = False) -> ExpFit:
-    """Log-linear least squares over the window y > floor, then nonlinear
+    """Log-linear least squares over the window y > FIT_FLOOR, then nonlinear
     refinement. When curve_fit raises RuntimeError (no convergence), the
     log-linear estimate is returned with offset 0 and fell_back set. Raises
     FitDiverged when no decaying fit exists.
     """
     t = np.asarray(t, float)
     y = np.asarray(y, float)
-    m = y > floor
+    m = y > FIT_FLOOR
     if int(m.sum()) < 3:
-        raise FitDiverged(f"only {int(m.sum())} samples above floor {floor}")
+        raise FitDiverged(f"only {int(m.sum())} samples above floor {FIT_FLOOR}")
     lt, ly = t[m], np.log(y[m])
     A = np.vstack([lt, np.ones_like(lt)]).T
     slope, intercept = np.linalg.lstsq(A, ly, rcond=None)[0]
@@ -757,18 +768,19 @@ def _lifetime_truncation(p: KerrCatParams, trunc: Truncation | None) -> Truncati
 
 def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
                      noise: DetuningNoise | None, t_max: float,
-                     seed: int | None = None, trunc: Truncation | None = None,
-                     nwindows: int = 160,
-                     early_stop: float = 0.12) -> tuple[float, float]:
+                     trunc: Truncation | None = None,
+                     nwindows: int = 160) -> tuple[float, float]:
     """Pointer-state lifetime: prepare |+alpha>-like pointer state, track the
-    well-polarization <Z> averaged over quasi-static detuning draws, fit a
-    single exponential. Returns (T_alpha, fit residual RMS); T_alpha = inf
-    when the signal never decays measurably.
+    well-polarization <Z> averaged over quasi-static detuning draws (drawn
+    with noise.seed), fit a single exponential. A single trial stops
+    sampling once <Z> falls below LIFETIME_EARLY_STOP. Returns (T_alpha, fit
+    residual RMS); T_alpha = inf when the signal never decays measurably.
     """
     noise = noise or DetuningNoise()
     trunc = _lifetime_truncation(params, trunc)
     times = np.linspace(0.0, t_max, nwindows + 1)
-    deltas = noise.draws(seed)
+    deltas = noise.draws()
+    stop = ("z", LIFETIME_EARLY_STOP) if noise.trials == 1 else None
     acc = None
     kept = times.size
     for dlt in deltas:
@@ -777,8 +789,7 @@ def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
         h = kerr_cat_hamiltonian(p_i, trunc)
         frame = build_cat_frame(h)
         rho0 = frame.w_plus.to_density_matrix()
-        res = evolve(rho0, h, bath_jumps, times, {"z": frame.z},
-                     early_stop=("z", early_stop) if noise.trials == 1 else None)
+        res = evolve(rho0, h, bath_jumps, times, {"z": frame.z}, early_stop=stop)
         z = res.observables["z"]
         if acc is None:
             acc = z.copy()
@@ -794,10 +805,10 @@ def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
 
 
 def lifetime_T_C(params: KerrCatParams, bath_jumps: list, t_max: float,
-                 trunc: Truncation | None = None,
-                 nwindows: int = 120) -> tuple[float, float]:
+                 trunc: Truncation | None = None) -> tuple[float, float]:
     """Cat-superposition lifetime: prepare the even-parity manifold state,
-    track <X> (even minus odd projector weight), fit exponential-plus-offset
+    track <X> (even minus odd projector weight) on LIFETIME_WINDOWS windows
+    up to t_max, fit exponential-plus-offset
     (alternating-parity loss rates leave a nonzero steady X). Returns
     (T_C, fit residual RMS); inf when no decay is measurable. The run is
     deterministic.
@@ -806,7 +817,7 @@ def lifetime_T_C(params: KerrCatParams, bath_jumps: list, t_max: float,
     h = kerr_cat_hamiltonian(params, trunc)
     frame = build_cat_frame(h)
     rho0 = frame.v_even.to_density_matrix()
-    times = np.linspace(0.0, t_max, nwindows + 1)
+    times = np.linspace(0.0, t_max, LIFETIME_WINDOWS + 1)
     res = evolve(rho0, h, bath_jumps, times, {"x": frame.x})
     x = res.observables["x"]
     if x[0] - x.min() < LIFETIME_SENTINEL_DROP:
@@ -827,10 +838,10 @@ class DetuningSweepResult:
 
 def detuning_lifetime_sweep(params: KerrCatParams, bath_jumps: list,
                             delta_grid, t_max: float,
-                            trunc: Truncation | None = None,
-                            nwindows: int = 120) -> DetuningSweepResult:
-    """lifetime_T_alpha at each static detuning on the grid (single trial,
-    no disorder); reports interior local maxima of T_alpha(delta)."""
+                            trunc: Truncation | None = None) -> DetuningSweepResult:
+    """lifetime_T_alpha on LIFETIME_WINDOWS windows at each static detuning
+    on the grid (single trial, no disorder); reports interior local maxima
+    of T_alpha(delta)."""
     deltas = np.asarray(delta_grid, dtype=float)
     ts = np.empty(deltas.size)
     errs = np.empty(deltas.size)
@@ -838,7 +849,7 @@ def detuning_lifetime_sweep(params: KerrCatParams, bath_jumps: list,
         p_i = KerrCatParams(K=params.K, eps2=params.eps2,
                             detuning=params.detuning + float(d))
         t_i, e_i = lifetime_T_alpha(p_i, bath_jumps, None, t_max, trunc=trunc,
-                                    nwindows=nwindows)
+                                    nwindows=LIFETIME_WINDOWS)
         ts[i], errs[i] = t_i, e_i
     maxima = [i for i in range(1, deltas.size - 1)
               if ts[i] > ts[i - 1] and ts[i] > ts[i + 1]]

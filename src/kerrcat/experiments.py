@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .catframe import build_cat_frame
-from .control import (XGateSpec, cat_size_from_rabi, chevron_map,
-                      count_transfer_lobes, rabi_frequency, simulate_z_rotation)
+from .control import (cat_size_from_rabi, chevron_map, count_transfer_lobes,
+                      rabi_frequency, simulate_z_rotation)
 from .dynamics import (BathSpec, DetuningNoise, JumpTerm, build_full_dissipators,
                        default_snail, detuning_lifetime_sweep, lifetime_T_C,
-                       lifetime_T_alpha, standard_bath, tc_tradeoff)
+                       lifetime_T_alpha, tc_tradeoff)
 from .errors import ConfigInvalid, ExperimentFailed
 from .fock import (Truncation, annihilation, cat_state, coherent_state,
                    default_truncation, wigner_grid, wigner_normalization)

@@ -133,7 +133,6 @@ class DensityMatrix:
 
     mat: np.ndarray
     trunc: Truncation = field(default=None)  # type: ignore[assignment]
-    herm_atol: float = HERMITIAN_ATOL
     trace_atol: float = TRACE_ATOL
     psd_atol: float = PSD_ATOL
 
@@ -146,7 +145,7 @@ class DensityMatrix:
         elif self.trunc.dim != self.mat.shape[0]:
             raise DimMismatch(f"state dim {self.mat.shape[0]} vs trunc {self.trunc.dim}")
         dev = float(np.max(np.abs(self.mat - self.mat.conj().T)))
-        if dev > self.herm_atol:
+        if dev > HERMITIAN_ATOL:
             raise NotHermitian(f"density matrix max |rho - rho†| = {dev:.3e}")
         tr = float(np.real(np.trace(self.mat)))
         if abs(tr - 1.0) > self.trace_atol:
@@ -222,11 +221,11 @@ def fock_state(n: int, trunc: Truncation) -> Ket:
     return Ket(amp, trunc)
 
 
-def coherent_state(alpha: complex, trunc: Truncation, tail_tol: float = TAIL_TOL) -> Ket:
+def coherent_state(alpha: complex, trunc: Truncation) -> Ket:
     """|alpha>, amplitudes via log-space Poisson weights for stability.
 
     Raises TruncationTooSmall if the pre-normalization weight of the top
-    basis state exceeds tail_tol.
+    basis state exceeds TAIL_TOL.
     """
     n = np.arange(trunc.dim)
     mag = abs(alpha)
@@ -235,15 +234,14 @@ def coherent_state(alpha: complex, trunc: Truncation, tail_tol: float = TAIL_TOL
     logw = n * math.log(mag) - 0.5 * gammaln(n + 1.0) - 0.5 * mag * mag
     amp = np.exp(logw) * np.exp(1j * n * np.angle(alpha))
     tail = float(np.abs(amp[-1]) ** 2)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationTooSmall(
-            f"coherent tail {tail:.2e} > {tail_tol:.0e} at dim {trunc.dim}; "
+            f"coherent tail {tail:.2e} > {TAIL_TOL:.0e} at dim {trunc.dim}; "
             f"need dim >= {default_truncation(alpha).dim}")
     return Ket(amp, trunc).normalized()
 
 
-def cat_state(alpha: complex, parity, trunc: Truncation,
-              tail_tol: float = TAIL_TOL) -> Ket:
+def cat_state(alpha: complex, parity, trunc: Truncation) -> Ket:
     """|C±> = (|alpha> ± |-alpha>) / sqrt(2(1 ± e^{-2|alpha|^2})).
 
     parity: +1 or "even"; -1 or "odd".
@@ -257,8 +255,8 @@ def cat_state(alpha: complex, parity, trunc: Truncation,
     denom = 2.0 * (1.0 + p * q)
     if denom <= 0.0:
         raise DegenerateCat(f"cat normalization underflow at alpha={alpha}, parity={p}")
-    plus = coherent_state(alpha, trunc, tail_tol)
-    minus = coherent_state(-alpha, trunc, tail_tol)
+    plus = coherent_state(alpha, trunc)
+    minus = coherent_state(-alpha, trunc)
     amp = (plus.amp + p * minus.amp) / math.sqrt(denom)
     k = Ket(amp, trunc)
     if abs(k.norm() - 1.0) > 1e-12:

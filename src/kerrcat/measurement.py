@@ -218,17 +218,15 @@ class PTM:
     """4x4 real Pauli transfer matrix in basis (I, X, Y, Z)."""
 
     matrix: np.ndarray
-    first_row_tol: float = PTM_ENTRY_SLACK
-    entry_slack: float = PTM_ENTRY_SLACK
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.shape != (4, 4):
             raise ValueError("PTM must be 4x4")
         first = self.matrix[0]
-        if np.max(np.abs(first - np.array([1.0, 0, 0, 0]))) > self.first_row_tol:
+        if np.max(np.abs(first - np.array([1.0, 0, 0, 0]))) > PTM_ENTRY_SLACK:
             raise ValueError(f"PTM first row {first} deviates from (1,0,0,0)")
-        if np.max(np.abs(self.matrix)) > 1.0 + self.entry_slack:
+        if np.max(np.abs(self.matrix)) > 1.0 + PTM_ENTRY_SLACK:
             raise ValueError("PTM entries exceed [-1-eps, 1+eps]")
 
 

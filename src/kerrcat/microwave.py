@@ -113,17 +113,16 @@ def to_db(s) -> np.ndarray:
 
 
 def design_notch_filter(f_notch: float = 5.9, n_stubs: int = 4,
-                        spacing_el: float = np.pi / 2.0,
                         z_stub: float = 65.0, z_line: float = 65.0) -> list:
     """Band-block topology: n quarter-wave open stubs (at f_notch) separated
-    by connecting lines of electrical length spacing_el at f_notch."""
+    by quarter-wave connecting lines at f_notch."""
     if n_stubs < 1:
         raise ValueError("n_stubs must be >= 1")
     elements = []
     for i in range(n_stubs):
         elements.append(NetworkElement("open_stub", np.pi / 2.0, z_stub, f_notch))
         if i < n_stubs - 1:
-            elements.append(NetworkElement("line_segment", spacing_el, z_line, f_notch))
+            elements.append(NetworkElement("line_segment", np.pi / 2.0, z_line, f_notch))
     return elements
 
 

@@ -133,13 +133,12 @@ def effective_squeezing_amplitude(p: SnailParams) -> complex:
                      - p.eps_s0 / (p.omega_s + p.omega_a0)))
 
 
-def effective_kerr_params(p: SnailParams, detuning: float = 0.0,
-                          include_stark: bool = False) -> tuple[KerrCatParams, float]:
+def effective_kerr_params(p: SnailParams) -> tuple[KerrCatParams, float]:
     """Map circuit parameters to (KerrCatParams, stark_shift).
 
     K = -6 g4, eps2 = 3 g3 xi, stark_shift = -4 K |xi|² with xi the effective
-    squeezing amplitude. The Stark shift is reported separately and only
-    folded into the detuning when include_stark is set.
+    squeezing amplitude. The Stark shift is reported separately and is not
+    folded into the detuning, which stays 0.
     """
     K = -6.0 * p.g4
     if not K > 0:
@@ -147,8 +146,7 @@ def effective_kerr_params(p: SnailParams, detuning: float = 0.0,
     xi = effective_squeezing_amplitude(p)
     eps2 = 3.0 * p.g3 * xi
     stark = -4.0 * K * abs(xi) ** 2
-    total_detuning = detuning + (stark if include_stark else 0.0)
-    return KerrCatParams(K=K, eps2=eps2, detuning=total_detuning), stark
+    return KerrCatParams(K=K, eps2=eps2), stark
 
 
 def squeezing_for_cat_size(p: SnailParams, alpha_sq: float) -> complex:

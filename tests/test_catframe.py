@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kerrcat import (KerrCatParams, Truncation, bloch_vector, build_cat_frame,
+from kerrcat import (KerrCatParams, Ket, Truncation, bloch_vector, build_cat_frame,
                      cat_state, coherent_state, default_truncation, expectation,
                      kerr_cat_hamiltonian, manifold_population, parity_operator,
                      state_fidelity)
@@ -77,6 +77,28 @@ def test_manifold_population_complete(frame4):
     assert manifold_population(frame, frame.w_plus) == pytest.approx(1.0, abs=1e-12)
     assert manifold_population(frame, frame.v_odd.to_density_matrix()) \
         == pytest.approx(1.0, abs=1e-12)
+
+
+def test_frame_functionals_normalize_a_ket(frame4):
+    frame, _, tr = frame4
+    psi = Ket(frame.w_plus.amp + (0.4 + 0.3j) * frame.w_minus.amp
+              + 0.2 * cat_state(1.0, "odd", tr).amp, tr).normalized()
+    scaled = Ket(3.0 * psi.amp, tr)
+    bloch = bloch_vector(frame, psi)
+    assert np.all(np.abs(bloch) > 0.01)
+    assert np.allclose(bloch_vector(frame, scaled), bloch, atol=1e-12)
+    assert manifold_population(frame, scaled) \
+        == pytest.approx(manifold_population(frame, psi), abs=1e-12)
+    assert np.allclose(bloch_vector(frame, psi.to_density_matrix()), bloch,
+                       atol=1e-12)
+
+
+def test_frame_functionals_reject_raw_arrays(frame4):
+    frame, _, _ = frame4
+    with pytest.raises(TypeError):
+        bloch_vector(frame, frame.w_plus.amp)
+    with pytest.raises(TypeError):
+        manifold_population(frame, frame.w_plus.amp)
 
 
 def test_rejects_parity_mixed_top_pair():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrcat import (KerrCatParams, Ket, Truncation, XGateSpec,
+from kerrcat import (KerrCatParams, Ket, Operator, Truncation, XGateSpec,
                      build_cat_frame, cat_size_from_rabi, chevron_map,
                      coherent_state, count_transfer_lobes, default_truncation,
                      effective_detuning, fock_to_cat_prep,
@@ -227,12 +227,22 @@ def test_free_flight_parity_conserved():
 
 
 def test_free_flight_density_matrix_matches_ket():
+    # two engines: eigh for the ket, CF4 on the Liouvillian for rho
     trunc = Truncation(25)
     psi = coherent_state(1.2, trunc)
-    res_ket = kerr_free_flight_gate(0.8, trunc, psi)
-    res_dm = kerr_free_flight_gate(0.8, trunc, psi.to_density_matrix())
+    a = annihilation(trunc).mat
+    obs = {"q": Operator(a + a.conj().T, trunc, hermitian_hint=True),
+           "p": parity_operator(trunc)}
+    res_ket = kerr_free_flight_gate(0.8, trunc, psi, n_samples=5, observables=obs)
+    res_dm = kerr_free_flight_gate(0.8, trunc, psi.to_density_matrix(),
+                                   n_samples=5, observables=obs)
     assert np.allclose(res_ket.final_state.mat, res_dm.final_state.mat,
                        atol=1e-12)
+    assert np.array_equal(res_ket.times, res_dm.times)
+    for name in obs:
+        assert res_ket.observables[name].size == 5
+        assert np.allclose(res_ket.observables[name], res_dm.observables[name],
+                           atol=1e-12)
 
 
 def test_free_flight_ket_sets_final_ket():
@@ -318,8 +328,6 @@ def test_stabilization_ramp_validation():
     params = KerrCatParams(K=K, eps2=0.0)
     with pytest.raises(ValueError):
         stabilization_ramp(2.0 * K, 0.0, params)
-    with pytest.raises(ValueError):
-        stabilization_ramp(2.0 * K, 1.0, params, shape="cubic")
 
 
 def test_fock_to_cat_prep_phase_fringe():
