@@ -19,11 +19,17 @@ Config schema (YAML)::
 Parameter keys carry their unit in the suffix (K_MHz, f_notch_GHz, T1_us,
 kappa_full_per_us, T_half_mK); frequencies are converted internally to
 angular rad/us. Unknown keys anywhere are rejected.
+
+The experiment, parameters, seed and rate_scale are checked by
+:func:`kerrcat.experiments.resolve_run`, which the library's
+``run_experiment`` also applies: a bad run description raises ConfigInvalid
+(exit 2) there too, before any file is written. This module checks only
+what belongs to the file: that it exists and parses to a mapping with known
+top-level keys, names an experiment, and gives a valid output_dir.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -31,16 +37,19 @@ import yaml
 
 from . import __version__
 from .errors import ConfigInvalid, ExperimentFailed
-from .experiments import REGISTRY, run_experiment
+from .control import ZENO_DRIVE_WARN_FRACTION
+from .experiments import REGISTRY, _kerr_params, resolve_run, run_experiment
 from .fock import default_truncation
+from .model import egap_estimate
 from .units import MHZ
 
 TOP_LEVEL_KEYS = {"experiment", "seed", "rate_scale", "output_dir", "parameters"}
 
 
 def load_config(path: str) -> dict:
-    """Read and structurally validate a YAML config; returns the resolved
-    run description {experiment, seed, rate_scale, output_dir, parameters}."""
+    """Read and validate a YAML config; returns the run description
+    {experiment, seed, rate_scale, output_dir, parameters}, with the user's
+    parameters as written (resolve_run merges them into the defaults)."""
     p = Path(path)
     if not p.is_file():
         raise ConfigInvalid(f"config file not found: {path}")
@@ -56,58 +65,40 @@ def load_config(path: str) -> dict:
     if "experiment" not in raw:
         raise ConfigInvalid("config must name an experiment")
     name = raw["experiment"]
-    if name not in REGISTRY:
-        raise ConfigInvalid(f"unknown experiment {name!r}; "
-                            f"known: {sorted(REGISTRY)}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigInvalid("seed must be a non-negative integer")
     rate_scale = raw.get("rate_scale", 1.0)
-    if isinstance(rate_scale, bool) or not isinstance(rate_scale, (int, float)):
-        raise ConfigInvalid("rate_scale must be a number")
-    rate_scale = float(rate_scale)
-    if not rate_scale >= 1.0:
-        raise ConfigInvalid("rate_scale must be >= 1")
     params = raw.get("parameters", {}) or {}
-    if not isinstance(params, dict):
-        raise ConfigInvalid("parameters must be a mapping")
-    defaults = REGISTRY[name].defaults
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ConfigInvalid(f"unknown parameter keys for {name}: "
-                            f"{sorted(unknown)}")
-    for key, value in params.items():
-        want_list = isinstance(defaults[key], list)
-        if want_list != isinstance(value, list):
-            kind = "a list" if want_list else "a scalar"
-            raise ConfigInvalid(f"parameter {key} must be {kind}")
+    resolve_run(name, params, seed, rate_scale)
     outdir = raw.get("output_dir", f"runs/{name}")
     if not isinstance(outdir, str) or not outdir:
         raise ConfigInvalid("output_dir must be a non-empty string")
-    return {"experiment": name, "seed": seed, "rate_scale": rate_scale,
+    return {"experiment": name, "seed": seed, "rate_scale": float(rate_scale),
             "output_dir": outdir, "parameters": dict(params)}
 
 
 def diagnostics(cfg: dict) -> list[str]:
-    """Human-readable validation notes for a resolved config."""
-    name = cfg["experiment"]
-    p = dict(REGISTRY[name].defaults)
-    p.update(cfg["parameters"])
+    """Human-readable validation notes for a loaded config, by the rules the
+    run itself applies."""
+    p = resolve_run(cfg["experiment"], cfg["parameters"], cfg["seed"],
+                    cfg["rate_scale"])
     out = []
-    if "alpha_sq" in p and "dim" in p and int(p.get("dim") or 0) > 0:
-        need = default_truncation(math.sqrt(float(p["alpha_sq"]))).dim
-        if int(p["dim"]) < need:
+    if "K_MHz" in p and "alpha_sq" in p:
+        try:
+            params = _kerr_params(p)
+        except ValueError as e:
+            raise ConfigInvalid(str(e)) from e
+        need = default_truncation(params.alpha).dim
+        if p.get("dim") and int(p["dim"]) < need:
             out.append(f"warning: dim={int(p['dim'])} is below the "
                        f"recommended cutoff {need} for alpha_sq="
-                       f"{p['alpha_sq']}; amplitudes may leak off the grid")
-    if name == "rabi-phase":
-        k = MHZ * float(p["K_MHz"])
-        gap = 4.0 * k * float(p["alpha_sq"])
-        omega_z = MHZ * float(p["omega_z_MHz"])
-        if omega_z > 0.1 * gap:
-            out.append("warning: omega_z exceeds 10% of the estimated "
-                       "manifold gap 4*K*alpha_sq; expect leakage out of "
-                       "the cat manifold")
+                       f"{p['alpha_sq']}; the run will stop with "
+                       "TruncationTooSmall")
+        gap = egap_estimate(params)
+        omega_z = MHZ * float(p.get("omega_z_MHz", 0.0))
+        if gap > 0 and abs(omega_z) > ZENO_DRIVE_WARN_FRACTION * gap:
+            out.append(f"warning: omega_z exceeds {ZENO_DRIVE_WARN_FRACTION:.0%} "
+                       "of the estimated manifold gap 4*K*alpha_sq; expect "
+                       "leakage out of the cat manifold")
     if cfg["rate_scale"] > 1.0:
         out.append(f"note: rate_scale={cfg['rate_scale']:g} multiplies every "
                    "bath rate; reported lifetimes shrink by the same factor "
@@ -117,16 +108,9 @@ def diagnostics(cfg: dict) -> list[str]:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigInvalid("seed must be a non-negative integer")
-        cfg["seed"] = args.seed
-    if args.rate_scale is not None:
-        if not args.rate_scale >= 1.0:
-            raise ConfigInvalid("rate_scale must be >= 1")
-        cfg["rate_scale"] = args.rate_scale
-    if args.out is not None:
-        cfg["output_dir"] = args.out
+    overrides = {"seed": args.seed, "rate_scale": args.rate_scale,
+                 "output_dir": args.out}
+    cfg.update({k: v for k, v in overrides.items() if v is not None})
     record = run_experiment(cfg["experiment"], cfg["parameters"], cfg["seed"],
                             cfg["rate_scale"], Path(cfg["output_dir"]))
     print(f"{cfg['experiment']}: wrote {len(record['files'])} files "
@@ -138,13 +122,14 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    resolved = dict(REGISTRY[cfg["experiment"]].defaults)
-    resolved.update(cfg["parameters"])
+    resolved = resolve_run(cfg["experiment"], cfg["parameters"], cfg["seed"],
+                           cfg["rate_scale"])
+    notes = diagnostics(cfg)
     print(f"config OK: experiment={cfg['experiment']} seed={cfg['seed']} "
           f"rate_scale={cfg['rate_scale']:g} output_dir={cfg['output_dir']}")
     for key in sorted(resolved):
         print(f"  {key}: {resolved[key]}")
-    for line in diagnostics(cfg):
+    for line in notes:
         print(line)
     return 0
 

@@ -26,7 +26,7 @@ from .errors import OutOfWindow, ZeroDrive
 from .fock import (DensityMatrix, Ket, Operator, Truncation, annihilation,
                    cat_state, coherent_state, default_truncation, fock_state,
                    number_operator, parity_operator)
-from .model import KerrCatParams, kerr_cat_hamiltonian
+from .model import KerrCatParams, egap_estimate, kerr_cat_hamiltonian
 
 SAMPLE_PERIOD = 1e-3  # us (1 ns): envelope grid of the gate and the ramp
 RAMP_SATURATION = math.atanh(0.999)
@@ -200,7 +200,7 @@ def simulate_z_rotation(params: KerrCatParams, omega_z: float, theta_z: float,
 
     Warns when omega_z exceeds 10% of the manifold gap estimate 4 K alpha².
     """
-    gap = 4.0 * params.K * params.cat_size
+    gap = egap_estimate(params)
     if gap > 0 and abs(omega_z) > ZENO_DRIVE_WARN_FRACTION * gap:
         warnings.warn(f"drive {omega_z:.3g} above {ZENO_DRIVE_WARN_FRACTION:.0%} "
                       f"of the manifold gap {gap:.3g}; leakage expected",

@@ -33,8 +33,8 @@ from scipy.special import jv
 
 from .catframe import build_cat_frame
 from .errors import (DimMismatch, FitDiverged, NonFiniteState,
-                     NonPositiveTemperature, NotHermitian, ZeroG3)
-from .fock import (HERMITIAN_ATOL, DensityMatrix, Ket, Operator, Truncation,
+                     NonPositiveTemperature, ZeroG3)
+from .fock import (DensityMatrix, Ket, Operator, Truncation, _check_hermitian,
                    annihilation, default_truncation, number_operator)
 from .model import KerrCatParams, SnailParams, kerr_cat_hamiltonian
 from .units import HBAR_OVER_KB_MK, MHZ
@@ -300,10 +300,23 @@ def _as_schedule(h) -> Schedule:
     raise TypeError(f"h must be Operator or Schedule, got {type(h)}")
 
 
-def _check_hermitian(H: np.ndarray) -> None:
-    dev = float(np.max(np.abs(H - H.conj().T)))
-    if dev > HERMITIAN_ATOL:
-        raise NotHermitian(f"H is not Hermitian: max |H - H†| = {dev:.3e}")
+def _checked_inputs(h, t_span, state_dim: int,
+                    observables: dict | None) -> tuple[Schedule, np.ndarray, dict]:
+    """The input checks evolve and evolve_ket share: h as a Schedule, t_span
+    as increasing times, state and observables of h's dim, h0 Hermitian."""
+    sched = _as_schedule(h)
+    times = np.asarray(t_span, dtype=float)
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
+        raise ValueError("t_span must be an increasing 1-d array of >= 2 times")
+    dim = sched.h0.dim
+    if state_dim != dim:
+        raise DimMismatch(f"state dim {state_dim} vs hamiltonian dim {dim}")
+    observables = observables or {}
+    for name, op in observables.items():
+        if op.dim != dim:
+            raise DimMismatch(f"observable {name!r} dim mismatch")
+    _check_hermitian(sched.h0.mat, "h0")
+    return sched, times, observables
 
 
 def _bessel_weights(x: float) -> np.ndarray:
@@ -547,23 +560,12 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     sample times outside the envelope grid, and NonFiniteState when the
     spectral bound or the state is not finite.
     """
-    sched = _as_schedule(h)
-    times = np.asarray(t_span, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("t_span must be an increasing 1-d array of >= 2 times")
-    dim = sched.h0.dim
-    if rho0.dim != dim:
-        raise DimMismatch(f"state dim {rho0.dim} vs hamiltonian dim {dim}")
-    observables = observables or {}
-    for name, op in observables.items():
-        if op.dim != dim:
-            raise DimMismatch(f"observable {name!r} dim mismatch")
-
+    sched, times, observables = _checked_inputs(h, t_span, rho0.dim, observables)
+    dim = rho0.dim
     for j in jumps:
         if j.operator.dim != dim:
             raise DimMismatch("jump operator dim mismatch")
     Ls = [j.scaled_matrix() for j in jumps if j.rate > 0.0]
-    _check_hermitian(sched.h0.mat)
     r = rho0.mat.astype(np.complex128)
     states = _cf4(sched, times, r.reshape(-1), Ls)
 
@@ -611,21 +613,14 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> Evoluti
     error fifth order in the interval length. nsteps is then the number of
     CF4 intervals taken. t_span must lie on the envelope grid.
 
-    Raises NotHermitian for an h0 that is not Hermitian, ValueError for
-    sample times outside the envelope grid, and NonFiniteState when the
-    spectral bound or the state of the CF4 route is not finite.
+    Raises NotHermitian for an h0 that is not Hermitian, DimMismatch for a
+    state or observable of another dim than h0, ValueError for sample times
+    outside the envelope grid, and NonFiniteState when the spectral bound or
+    the state of the CF4 route is not finite.
     """
-    sched = _as_schedule(h)
-    times = np.asarray(t_span, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("t_span must be an increasing 1-d array of >= 2 times")
-    dim = sched.h0.dim
-    if psi0.dim != dim:
-        raise DimMismatch(f"state dim {psi0.dim} vs hamiltonian dim {dim}")
-    observables = observables or {}
+    sched, times, observables = _checked_inputs(h, t_span, psi0.dim, observables)
     psi = psi0.amp.astype(np.complex128)
     H0 = sched.h0.mat
-    _check_hermitian(H0)
 
     if not sched.envelopes:
         lam, V = np.linalg.eigh(H0)
@@ -780,9 +775,9 @@ def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
     trunc = _lifetime_truncation(params, trunc)
     times = np.linspace(0.0, t_max, nwindows + 1)
     deltas = noise.draws()
+    # only a single trial stops early, so every averaged trace has one length
     stop = ("z", LIFETIME_EARLY_STOP) if noise.trials == 1 else None
-    acc = None
-    kept = times.size
+    traces = []
     for dlt in deltas:
         p_i = KerrCatParams(K=params.K, eps2=params.eps2,
                             detuning=params.detuning + float(dlt))
@@ -790,17 +785,11 @@ def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
         frame = build_cat_frame(h)
         rho0 = frame.w_plus.to_density_matrix()
         res = evolve(rho0, h, bath_jumps, times, {"z": frame.z}, early_stop=stop)
-        z = res.observables["z"]
-        if acc is None:
-            acc = z.copy()
-            kept = z.size
-        else:
-            kept = min(kept, z.size)
-            acc = acc[:kept] + z[:kept]
-    z_avg = acc[:kept] / len(deltas)
+        traces.append(res.observables["z"])
+    z_avg = sum(traces) / len(deltas)
     if z_avg[0] - z_avg.min() < LIFETIME_SENTINEL_DROP:
         return math.inf, 0.0
-    fit = fit_exponential(times[:kept], z_avg, with_offset=False)
+    fit = fit_exponential(times[:z_avg.size], z_avg, with_offset=False)
     return fit.T, fit.residual_rms
 
 

@@ -33,7 +33,8 @@ from .measurement import (SpamModel, cqr_steady_amplitude, default_line,
                           misassignment_probability, ptm_identity, ptm_rotation,
                           qndness, simulate_readout, tomography_pipeline)
 from .microwave import design_notch_filter, stopband_width, sweep
-from .model import KerrCatParams, kerr_cat_hamiltonian, well_excitations
+from .model import (KerrCatParams, egap_estimate, kerr_cat_hamiltonian,
+                    well_excitations)
 from .units import MHZ
 
 FLOAT_FMT = "%.12g"
@@ -120,7 +121,7 @@ def exp_spectrum(ctx: RunContext) -> None:
     ctx.summaries.update({
         "tunnel_splitting_over_K": float((exc[1] - exc[0]) / params.K),
         "gap_over_K": gap / params.K,
-        "gap_over_4K_alpha_sq": gap / (4.0 * params.K * params.cat_size),
+        "gap_over_4K_alpha_sq": gap / egap_estimate(params),
     })
 
 
@@ -388,19 +389,46 @@ REGISTRY: dict[str, ExperimentDef] = {
 }
 
 
+def resolve_run(name: str, params: dict, seed: int, rate_scale: float) -> dict:
+    """Check one run description against the registry; returns the
+    experiment's defaults updated with params.
+
+    Raises ConfigInvalid for an unknown experiment, params that is not a
+    mapping or names a key the experiment does not take, a list value where
+    the default is a scalar or the reverse, a seed that is not a
+    non-negative int, and a rate_scale that is not a number >= 1.
+    """
+    if not isinstance(name, str) or name not in REGISTRY:
+        raise ConfigInvalid(f"unknown experiment {name!r}; "
+                            f"known: {sorted(REGISTRY)}")
+    if not isinstance(params, dict):
+        raise ConfigInvalid("parameters must be a mapping")
+    defaults = REGISTRY[name].defaults
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ConfigInvalid(f"unknown parameter keys for {name}: {sorted(unknown)}")
+    for key, value in params.items():
+        want_list = isinstance(defaults[key], list)
+        if want_list != isinstance(value, list):
+            kind = "a list" if want_list else "a scalar"
+            raise ConfigInvalid(f"parameter {key} must be {kind}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigInvalid("seed must be a non-negative integer")
+    if isinstance(rate_scale, bool) or not isinstance(rate_scale, (int, float)):
+        raise ConfigInvalid("rate_scale must be a number")
+    if not rate_scale >= 1.0:
+        raise ConfigInvalid("rate_scale must be >= 1")
+    return {**defaults, **params}
+
+
 def run_experiment(name: str, params: dict, seed: int, rate_scale: float,
                    outdir: Path) -> dict:
     """Execute one experiment; returns the run record (also written as
     record.json). Partial artifacts from a failed run are preserved under
-    outdir/failed/."""
-    if name not in REGISTRY:
-        raise ConfigInvalid(f"unknown experiment {name!r}")
+    outdir/failed/. Raises ConfigInvalid, before any file is written, for a
+    run description that resolve_run rejects."""
+    resolved = resolve_run(name, params, seed, rate_scale)
     exp = REGISTRY[name]
-    resolved = dict(exp.defaults)
-    unknown = set(params) - set(exp.defaults)
-    if unknown:
-        raise ConfigInvalid(f"unknown parameter keys for {name}: {sorted(unknown)}")
-    resolved.update(params)
     outdir = Path(outdir)
     ctx = RunContext(params=resolved, seed=seed, rate_scale=rate_scale,
                      outdir=outdir)

@@ -98,9 +98,7 @@ class Operator:
         elif self.trunc.dim != self.mat.shape[0]:
             raise DimMismatch(f"operator dim {self.mat.shape[0]} vs trunc {self.trunc.dim}")
         if self.hermitian_hint:
-            dev = float(np.max(np.abs(self.mat - self.mat.conj().T)))
-            if dev > HERMITIAN_ATOL:
-                raise NotHermitian(f"hermitian_hint set but max |M - M†| = {dev:.3e}")
+            _check_hermitian(self.mat, "operator with hermitian_hint")
 
     @property
     def dim(self) -> int:
@@ -144,9 +142,7 @@ class DensityMatrix:
             self.trunc = Truncation(self.mat.shape[0])
         elif self.trunc.dim != self.mat.shape[0]:
             raise DimMismatch(f"state dim {self.mat.shape[0]} vs trunc {self.trunc.dim}")
-        dev = float(np.max(np.abs(self.mat - self.mat.conj().T)))
-        if dev > HERMITIAN_ATOL:
-            raise NotHermitian(f"density matrix max |rho - rho†| = {dev:.3e}")
+        _check_hermitian(self.mat, "density matrix")
         tr = float(np.real(np.trace(self.mat)))
         if abs(tr - 1.0) > self.trace_atol:
             raise ValueError(f"density matrix trace {tr} != 1 within {self.trace_atol}")
@@ -160,6 +156,13 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
+
+
+def _check_hermitian(mat: np.ndarray, name: str) -> None:
+    """Raise NotHermitian when max |M - M†| exceeds HERMITIAN_ATOL."""
+    dev = float(np.max(np.abs(mat - mat.conj().T)))
+    if dev > HERMITIAN_ATOL:
+        raise NotHermitian(f"{name} is not Hermitian: max |M - M†| = {dev:.3e}")
 
 
 def _check_dims(d1: int, d2: int):

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateModes, NotHermitian, ResonantDriveSingularity,
+from .errors import (DegenerateModes, ResonantDriveSingularity,
                      TruncationTooSmall, ZeroDrive)
-from .fock import Ket, Operator, Truncation, annihilation, default_truncation
+from .fock import (Ket, Operator, Truncation, _check_hermitian, annihilation,
+                   default_truncation)
 
 NONLINEARITY_WARN_FRACTION = 0.05
 DEGENERACY_GROUP_TOL_K = 1e-6
@@ -238,9 +239,7 @@ def spectrum(h: Operator, k: int | None = None, nearest_top: bool = False) -> Sp
     (the protected manifold of the inverted well lives at the top).
     """
     if not h.hermitian_hint:
-        dev = float(np.max(np.abs(h.mat - h.mat.conj().T)))
-        if dev > 1e-10:
-            raise NotHermitian(f"spectrum requires Hermitian input; |M-M†| = {dev:.3e}")
+        _check_hermitian(h.mat, "spectrum input")
     E, V = np.linalg.eigh(h.mat)
     if k is None:
         k = h.dim

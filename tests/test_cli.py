@@ -136,6 +136,22 @@ def test_main_run_invalid_parameter_value_is_config_error(tmp_path):
                      str(tmp_path / "w")]) == 2
 
 
+@pytest.mark.parametrize("name,params,seed,rate_scale,fragment", [
+    ("lifetime-cat", {"alpha_sq_list": 4.0}, 0, 1.0, "a list"),
+    ("spectrum", {"alpha_sq": [4.0]}, 0, 1.0, "a scalar"),
+    ("wigner", {"bogus_knob": 1}, 0, 1.0, "unknown parameter"),
+    ("warp-drive", {}, 0, 1.0, "unknown experiment"),
+    ("wigner", {}, -1, 1.0, "seed"),
+    ("wigner", {}, 0, 0.5, "rate_scale"),
+])
+def test_run_experiment_rejects_config_errors(tmp_path, name, params, seed,
+                                              rate_scale, fragment):
+    # the library applies the config checks of the CLI, before any file
+    with pytest.raises(ConfigInvalid, match=fragment):
+        run_experiment(name, params, seed, rate_scale, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_runtime_failure_quarantines(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, "experiment: wigner\nparameters:\n  n_grid: 9\n")
     outdir = tmp_path / "q"

@@ -20,8 +20,8 @@ from kerrcat import (BathSpec, DensityMatrix, DetuningNoise, JumpTerm,
                      number_operator, plateau_bath, standard_bath, tc_tradeoff)
 from kerrcat import dynamics
 from kerrcat.dynamics import _lifetime_truncation, _real_liouvillian
-from kerrcat.errors import (FitDiverged, NonFiniteState, NonPositiveTemperature,
-                            NotHermitian, ZeroG3)
+from kerrcat.errors import (DimMismatch, FitDiverged, NonFiniteState,
+                            NonPositiveTemperature, NotHermitian, ZeroG3)
 from kerrcat.fock import Operator
 from kerrcat.kernels import (NOENV, RK_A, RK_B, RK_C, RK_E, default_max_step,
                              gershgorin_range, se_step)
@@ -370,6 +370,20 @@ def test_evolve_raises_on_nonfinite_state(run):
             evolve(psi0.to_density_matrix(), sched, [], times)
         else:
             evolve_ket(psi0, sched, times)
+
+
+@pytest.mark.parametrize("run", ["evolve", "evolve_ket"])
+@pytest.mark.parametrize("state_dim,obs_dim", [(10, 12), (12, 10)])
+def test_evolve_rejects_a_state_or_observable_of_another_dim(run, state_dim, obs_dim):
+    h = number_operator(Truncation(12))
+    psi0 = fock_state(0, Truncation(state_dim))
+    obs = {"n": number_operator(Truncation(obs_dim))}
+    times = np.array([0.0, 1.0])
+    with pytest.raises(DimMismatch):
+        if run == "evolve":
+            evolve(psi0.to_density_matrix(), h, [], times, obs)
+        else:
+            evolve_ket(psi0, h, times, obs)
 
 
 @pytest.mark.parametrize("bad", [np.array([0.1, np.nan, 0.2]),
