@@ -18,7 +18,8 @@ Config schema (YAML)::
 
 Parameter keys carry their unit in the suffix (K_MHz, f_notch_GHz, T1_us,
 kappa_full_per_us, T_half_mK); frequencies are converted internally to
-angular rad/us. Unknown keys anywhere are rejected.
+angular rad/us. Unknown keys anywhere are rejected, and each parameter value
+must have the type of its default (a float default also takes an int).
 
 The experiment, parameters, seed and rate_scale are checked by
 :func:`kerrcat.experiments.resolve_run`, which the library's

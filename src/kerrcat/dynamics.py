@@ -750,8 +750,8 @@ class DetuningNoise:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
-    def draws(self, seed: int | None = None) -> np.ndarray:
-        rng = np.random.default_rng(self.seed if seed is None else seed)
+    def draws(self) -> np.ndarray:
+        rng = np.random.default_rng(self.seed)
         if self.std == 0.0:
             return np.full(self.trials, self.mean)
         return rng.normal(self.mean, self.std, size=self.trials)

@@ -389,14 +389,30 @@ REGISTRY: dict[str, ExperimentDef] = {
 }
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """isinstance(value, kinds), with a bool never counted as a number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+# the values a parameter takes, by the type of its registry default
+_VALUE_RULES = {
+    float: (_is_number, "a scalar number"),
+    int: (lambda v: _is_number(v, int), "a scalar integer"),
+    str: (lambda v: isinstance(v, str), "a scalar string"),
+    list: (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+}
+
+
 def resolve_run(name: str, params: dict, seed: int, rate_scale: float) -> dict:
     """Check one run description against the registry; returns the
     experiment's defaults updated with params.
 
     Raises ConfigInvalid for an unknown experiment, params that is not a
-    mapping or names a key the experiment does not take, a list value where
-    the default is a scalar or the reverse, a seed that is not a
-    non-negative int, and a rate_scale that is not a number >= 1.
+    mapping or names a key the experiment does not take, a value not of its
+    default's type, a seed that is not a non-negative int, and a rate_scale
+    that is not a number >= 1. A float default takes an int or a float, an
+    int default an int, a str default a str, and a list default a list of
+    ints or floats; a bool is never a number. Values are not coerced.
     """
     if not isinstance(name, str) or name not in REGISTRY:
         raise ConfigInvalid(f"unknown experiment {name!r}; "
@@ -408,13 +424,12 @@ def resolve_run(name: str, params: dict, seed: int, rate_scale: float) -> dict:
     if unknown:
         raise ConfigInvalid(f"unknown parameter keys for {name}: {sorted(unknown)}")
     for key, value in params.items():
-        want_list = isinstance(defaults[key], list)
-        if want_list != isinstance(value, list):
-            kind = "a list" if want_list else "a scalar"
-            raise ConfigInvalid(f"parameter {key} must be {kind}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        accepts, kind = _VALUE_RULES[type(defaults[key])]
+        if not accepts(value):
+            raise ConfigInvalid(f"parameter {key} must be {kind}, got {value!r}")
+    if not _is_number(seed, int) or seed < 0:
         raise ConfigInvalid("seed must be a non-negative integer")
-    if isinstance(rate_scale, bool) or not isinstance(rate_scale, (int, float)):
+    if not _is_number(rate_scale):
         raise ConfigInvalid("rate_scale must be a number")
     if not rate_scale >= 1.0:
         raise ConfigInvalid("rate_scale must be >= 1")
@@ -428,6 +443,7 @@ def run_experiment(name: str, params: dict, seed: int, rate_scale: float,
     outdir/failed/. Raises ConfigInvalid, before any file is written, for a
     run description that resolve_run rejects."""
     resolved = resolve_run(name, params, seed, rate_scale)
+    rate_scale = float(rate_scale)
     exp = REGISTRY[name]
     outdir = Path(outdir)
     ctx = RunContext(params=resolved, seed=seed, rate_scale=rate_scale,

@@ -288,55 +288,43 @@ def state_fidelity(k1: Ket, k2: Ket) -> float:
     return float(abs(k1.normalized().overlap(k2.normalized())) ** 2)
 
 
-def _displaced_fock_columns(dim: int, beta: complex) -> np.ndarray:
-    """Columns D(beta)|n> via the recurrence D|n+1> = (a† - beta*) D|n> / sqrt(n+1).
-
-    Exact within the truncation; O(dim^2) per call instead of a fresh matrix
-    exponential per phase-space point.
-    """
-    n = np.arange(dim)
-    mag = abs(beta)
-    if mag == 0.0:
-        return np.eye(dim, dtype=np.complex128)
-    cols = np.empty((dim, dim), dtype=np.complex128)
-    logw = n * math.log(mag) - 0.5 * gammaln(n + 1.0) - 0.5 * mag * mag
-    cols[:, 0] = np.exp(logw) * np.exp(1j * n * np.angle(beta))
-    sq = np.sqrt(n.astype(np.float64))
-    for m in range(dim - 1):
-        prev = cols[:, m]
-        nxt = -np.conj(beta) * prev
-        nxt[1:] += sq[1:] * prev[:-1]
-        cols[:, m + 1] = nxt / math.sqrt(m + 1.0)
-    return cols
-
-
 def wigner(state, points) -> np.ndarray:
     """Wigner function as the displaced-parity expectation
     W(beta) = (2/pi) <D(beta) P D(-beta)> = (2/pi) Tr[rho D(2 beta) P].
 
-    The second form only needs matrix elements of D(2 beta) inside the
-    state's occupied block, which the column recurrence yields exactly
-    (truncation losses propagate upward only), so W is exact for any state
-    representable in the truncation. points: complex array of phase-space
-    points (any shape); returns real values of the same shape.
+    Evaluated in closed form (Cahill & Glauber, Phys. Rev. 177, 1882 (1969)):
+    with g = 2 beta and x = |g|^2,
+    W = (2/pi) e^{-x/2} Re sum_L (2 - [L = 0]) g^L / sqrt(L!)
+        * sum_n (-1)^n rho[n, n+L] l_n^L(x),
+    where l_n^L = sqrt(n! L! / (n+L)!) L_n^(L) obeys
+    sqrt((n+1)(n+1+L)) l_{n+1} = (2n+1+L-x) l_n - sqrt(n(n+L)) l_{n-1},
+    l_0 = 1. Each inner series is summed by Clenshaw's recurrence and the
+    series over L by Horner's scheme in g / sqrt(L+1), both downward and on
+    arrays the shape of points, so W is exact to round-off for any state in
+    the truncation. Only the upper diagonals of rho are read: the lower ones
+    give the complex conjugate terms, which holds because every Ket and
+    DensityMatrix is Hermitian. points: complex array of phase-space points
+    (any shape); returns real values of the same shape.
     """
     if isinstance(state, Ket):
         rho = state.to_density_matrix().mat
-        dim = state.dim
     elif isinstance(state, DensityMatrix):
         rho = state.mat
-        dim = state.dim
     else:
         raise TypeError(f"unsupported state type {type(state)}")
-    pts = np.asarray(points, dtype=np.complex128)
-    par = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    flat = pts.ravel()
-    out = np.empty(flat.shape, dtype=np.float64)
-    for i, beta in enumerate(flat):
-        d2 = _displaced_fock_columns(dim, 2.0 * beta)
-        diag = np.einsum("nm,mn->n", rho, d2)
-        out[i] = (2.0 / math.pi) * float(np.real(np.sum(par * diag)))
-    return out.reshape(pts.shape)
+    g = 2.0 * np.asarray(points, dtype=np.complex128)
+    x = np.abs(g) ** 2
+    dim = rho.shape[0]
+    horner = np.zeros_like(g)
+    for L in range(dim - 1, -1, -1):
+        c = np.diag(rho, L) * (-1.0) ** np.arange(dim - L)
+        b1 = b2 = 0.0
+        for n in range(dim - L - 1, -1, -1):
+            norm = math.sqrt((n + 1) * (n + 1 + L))
+            b1, b2 = (c[n] + (2 * n + 1 + L - x) / norm * b1
+                      - norm / math.sqrt((n + 2) * (n + 2 + L)) * b2), b1
+        horner = (2.0 - (L == 0)) * b1 + g / math.sqrt(L + 1) * horner
+    return (2.0 / math.pi) * np.exp(-0.5 * x) * horner.real
 
 
 def wigner_grid(state, re_grid: np.ndarray, im_grid: np.ndarray) -> np.ndarray:

@@ -102,9 +102,13 @@ def default_line(r: ReadoutParams) -> DiscriminationLine:
     return DiscriminationLine(axis=beta / abs(beta), offset=0.0)
 
 
+def _assign(zs: np.ndarray, line: DiscriminationLine) -> np.ndarray:
+    """Labels ±1 of complex IQ points under the decision rule of line."""
+    return np.where((zs * np.conj(line.axis)).real - line.offset >= 0.0, 1, -1)
+
+
 def discriminate(shot: IQShot, line: DiscriminationLine) -> int:
-    s = (shot.z * np.conj(line.axis)).real - line.offset
-    return +1 if s >= 0.0 else -1
+    return int(_assign(np.asarray(shot.z), line))
 
 
 def _window_signals(rng: np.random.Generator, start_signs: np.ndarray,
@@ -128,6 +132,16 @@ def _window_signals(rng: np.random.Generator, start_signs: np.ndarray,
     return m_eff, end
 
 
+def _iq_points(rng: np.random.Generator, m_eff: np.ndarray,
+               r: ReadoutParams) -> np.ndarray:
+    """Complex IQ points sqrt(efficiency) * m_eff * beta plus Gaussian noise
+    of noise_sigma per quadrature (drawn only when noise_sigma > 0)."""
+    beta = cqr_steady_amplitude(r) * math.sqrt(r.efficiency)
+    noise = rng.normal(0.0, r.noise_sigma, size=(m_eff.size, 2)) if r.noise_sigma > 0 \
+        else np.zeros((m_eff.size, 2))
+    return m_eff * beta + noise[:, 0] + 1j * noise[:, 1]
+
+
 def simulate_readout(state_sign: int, r: ReadoutParams, flip_rate: float,
                      shots: int, seed: int) -> list[IQShot]:
     """Draw IQ shots for a qubit starting in state_sign (±1).
@@ -141,12 +155,9 @@ def simulate_readout(state_sign: int, r: ReadoutParams, flip_rate: float,
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
-    beta = cqr_steady_amplitude(r) * math.sqrt(r.efficiency)
     start = np.full(shots, state_sign, dtype=int)
     m_eff, _ = _window_signals(rng, start, flip_rate, r.duration)
-    noise = rng.normal(0.0, r.noise_sigma, size=(shots, 2)) if r.noise_sigma > 0 \
-        else np.zeros((shots, 2))
-    zs = m_eff * beta + noise[:, 0] + 1j * noise[:, 1]
+    zs = _iq_points(rng, m_eff, r)
     return [IQShot(i=float(z.real), q=float(z.imag), label_true=int(s))
             for z, s in zip(zs, start)]
 
@@ -169,21 +180,12 @@ def qndness(r: ReadoutParams, flip_rate: float, shots: int, seed: int) -> float:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
-    beta = cqr_steady_amplitude(r) * math.sqrt(r.efficiency)
-    axis = beta / abs(beta)
+    line = default_line(r)
     start = np.where(rng.random(shots) < 0.5, 1, -1)
     m1, mid = _window_signals(rng, start, flip_rate, r.duration)
     m2, _ = _window_signals(rng, mid, flip_rate, r.duration)
-
-    def assign(m_eff: np.ndarray) -> np.ndarray:
-        noise = rng.normal(0.0, r.noise_sigma, size=(m_eff.size, 2)) \
-            if r.noise_sigma > 0 else np.zeros((m_eff.size, 2))
-        zs = m_eff * beta + noise[:, 0] + 1j * noise[:, 1]
-        proj = (zs * np.conj(axis)).real
-        return np.where(proj >= 0.0, 1, -1)
-
-    l1 = assign(m1)
-    l2 = assign(m2)
+    l1 = _assign(_iq_points(rng, m1, r), line)
+    l2 = _assign(_iq_points(rng, m2, r), line)
     p_pp = float(np.mean(l2[l1 == 1] == 1)) if np.any(l1 == 1) else 1.0
     p_mm = float(np.mean(l2[l1 == -1] == -1)) if np.any(l1 == -1) else 1.0
     return 0.5 * (p_pp + p_mm)

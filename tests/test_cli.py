@@ -10,7 +10,7 @@ import pytest
 
 from kerrcat import cli
 from kerrcat.errors import ConfigInvalid
-from kerrcat.experiments import REGISTRY, run_experiment
+from kerrcat.experiments import REGISTRY, resolve_run, run_experiment
 
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
@@ -143,6 +143,10 @@ def test_main_run_invalid_parameter_value_is_config_error(tmp_path):
     ("warp-drive", {}, 0, 1.0, "unknown experiment"),
     ("wigner", {}, -1, 1.0, "seed"),
     ("wigner", {}, 0, 0.5, "rate_scale"),
+    ("spectrum", {"dim": "abc"}, 0, 1.0, "dim must be a scalar integer"),
+    ("lifetime-cat", {"alpha_sq_list": [1.0, "x"]}, 0, 1.0, "a list of numbers"),
+    ("chevron", {"n_tg": True}, 0, 1.0, "n_tg must be a scalar integer"),
+    ("wigner", {"state": 3}, 0, 1.0, "state must be a scalar string"),
 ])
 def test_run_experiment_rejects_config_errors(tmp_path, name, params, seed,
                                               rate_scale, fragment):
@@ -150,6 +154,20 @@ def test_run_experiment_rejects_config_errors(tmp_path, name, params, seed,
     with pytest.raises(ConfigInvalid, match=fragment):
         run_experiment(name, params, seed, rate_scale, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_resolve_run_accepts_the_registry_defaults():
+    # every default's type has a rule, and every default passes it
+    for name, exp in REGISTRY.items():
+        assert resolve_run(name, dict(exp.defaults), 0, 1.0) == exp.defaults
+
+
+def test_main_non_numeric_value_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "experiment: spectrum\nparameters:\n  dim: abc\n")
+    assert cli.main(["validate", "--config", cfg]) == 2
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.count("dim must be a scalar integer") == 2
+    assert not (tmp_path / "s").exists()
 
 
 def test_main_runtime_failure_quarantines(tmp_path, capsys, monkeypatch):
@@ -200,6 +218,18 @@ def test_rerun_is_byte_identical(tmp_path):
     r1 = {k: v for k, v in rec1.items() if k != "wall_time_s"}
     r2 = {k: v for k, v in rec2.items() if k != "wall_time_s"}
     assert r1 == r2
+
+
+def test_library_and_cli_write_the_same_record(tmp_path):
+    run_experiment("tomography", {}, 0, 1, tmp_path / "lib")
+    cfg = write_cfg(tmp_path, "experiment: tomography\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
+    texts = []
+    for d in ("lib", "cli"):
+        record = json.loads((tmp_path / d / "record.json").read_text())
+        record.pop("wall_time_s")
+        texts.append(json.dumps(record))  # text, so that 1 and 1.0 differ
+    assert texts[0] == texts[1]
 
 
 def test_seed_changes_shot_artifacts(tmp_path):

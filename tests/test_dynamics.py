@@ -674,6 +674,6 @@ def test_fitted_pointer_lifetime_is_converged_in_truncation(capsys):
 def test_detuning_noise_draws_deterministic():
     noise = DetuningNoise(mean=0.1, std=0.02, trials=5, seed=3)
     assert np.array_equal(noise.draws(), noise.draws())
-    assert noise.draws(7).shape == (5,)
+    assert DetuningNoise(mean=0.1, std=0.02, trials=5, seed=7).draws().shape == (5,)
     zero = DetuningNoise(mean=0.3, std=0.0, trials=4)
     assert np.array_equal(zero.draws(), np.full(4, 0.3))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.special import eval_laguerre
 
 from kerrcat import (DensityMatrix, Ket, Operator, Truncation, annihilation,
                      cat_state, coherent_state, creation, default_truncation,
@@ -154,11 +156,46 @@ def test_wigner_vacuum_gaussian():
 
 def test_wigner_coherent_displaced_gaussian():
     a0 = 1.1 - 0.7j
-    tr = default_truncation(a0)
-    pts = np.array([0.0, a0, a0 + 0.5j, 2.0])
-    got = wigner(coherent_state(a0, tr), pts)
-    want = (2 / math.pi) * np.exp(-2 * np.abs(pts - a0) ** 2)
-    assert np.allclose(got, want, atol=1e-10)
+    g = np.linspace(-7.0, 7.0, 57)
+    disk = (g[None, :] + 1j * g[:, None]).ravel()
+    # alpha = 5 at dim 70, on a grid out to |beta| = 7: the tolerance is set
+    # by the truncated coherent state, not by the sum
+    for alpha, pts, atol in ((a0, np.array([0.0, a0, a0 + 0.5j, 2.0]), 1e-10),
+                             (5.0, disk[np.abs(disk) <= 7.0], 1e-6)):
+        tr = default_truncation(alpha)
+        got = wigner(coherent_state(alpha, tr), pts)
+        want = (2 / math.pi) * np.exp(-2 * np.abs(pts - alpha) ** 2)
+        assert np.max(np.abs(got - want)) < atol, (alpha, tr.dim)
+
+
+@pytest.mark.parametrize("n", [1, 10, 30, 40])
+def test_wigner_fock_state_matches_laguerre(n):
+    # W_n(beta) = (2/pi) (-1)^n e^{-2|beta|^2} L_n(4|beta|^2)
+    mag = np.linspace(0.0, 3.5, 71)
+    pts = mag * np.exp(0.7j)
+    got = wigner(fock_state(n, Truncation(n + 1)), pts)
+    want = (2 / math.pi) * (-1) ** n * np.exp(-2 * mag**2) * eval_laguerre(n, 4 * mag**2)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(deadline=None, max_examples=30)
+@given(dim=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       pts=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                    min_size=1, max_size=4))
+def test_wigner_matches_displaced_parity_trace(dim, seed, pts):
+    # (2/pi) Tr[rho D(2 beta) P] with D from expm in a space padded to dim 100
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    pts = [complex(re, im) for re, im in pts]
+    got = wigner(DensityMatrix(rho, Truncation(dim)), np.array(pts))
+    big = annihilation(Truncation(100)).mat
+    par = (-1.0) ** np.arange(100)
+    for beta, w in zip(pts, got):
+        d = expm(2 * beta * big.conj().T - np.conj(2 * beta) * big)[:dim, :dim]
+        want = (2 / math.pi) * np.real(np.trace(rho @ (d * par[:dim])))
+        assert abs(w - want) < 1e-10
 
 
 def test_wigner_fock_one_negative_at_origin():
