@@ -31,6 +31,7 @@ top-level keys, names an experiment, and gives a valid output_dir.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,9 @@ from .model import egap_estimate
 from .units import MHZ
 
 TOP_LEVEL_KEYS = {"experiment", "seed", "rate_scale", "output_dir", "parameters"}
+# a Wigner grid covers a state whose lobes sit at |beta| <= alpha when its
+# extent reaches alpha plus this margin (W has fallen by e^-8 there)
+WIGNER_LOBE_MARGIN = 2.0
 
 
 def load_config(path: str) -> dict:
@@ -100,6 +104,12 @@ def diagnostics(cfg: dict) -> list[str]:
             out.append(f"warning: omega_z exceeds {ZENO_DRIVE_WARN_FRACTION:.0%} "
                        "of the estimated manifold gap 4*K*alpha_sq; expect "
                        "leakage out of the cat manifold")
+    if "extent" in p and "alpha_sq" in p:
+        cover = math.sqrt(float(p["alpha_sq"])) + WIGNER_LOBE_MARGIN
+        if float(p["extent"]) < cover:
+            out.append(f"warning: extent={p['extent']:g} does not cover the "
+                       f"Wigner lobes at |beta| = sqrt(alpha_sq={p['alpha_sq']:g}); "
+                       f"use extent >= {cover:g}")
     if cfg["rate_scale"] > 1.0:
         out.append(f"note: rate_scale={cfg['rate_scale']:g} multiplies every "
                    "bath rate; reported lifetimes shrink by the same factor "

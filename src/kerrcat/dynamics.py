@@ -441,6 +441,15 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     Bessel weights are computed once per distinct interval length. h0 must
     be Hermitian.
 
+    Both routes apply real matrices only. For kets each term K of G (G0 and
+    each Hermitian drive term) is split into Re K and Im K, the latter a
+    term of its own weighted by i, and parts that vanish are dropped, so a
+    real H (the Kerr-cat H with real eps2, the gate's n/2, the ramp's a†²
+    under a real envelope) leaves real terms only. The stacked parts act on
+    the ket block as one real matrix product on its float64 view
+    (dim x 2 nb, real and imaginary parts interleaved), which is viewed back
+    as complex; the block is copied only if it is not C-contiguous complex.
+
     Raises NonFiniteState, naming the start of the interval, when the
     spectral bound or the state is not finite.
     """
@@ -453,7 +462,9 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     if Ls is None:
         center = (lam[0] + lam[-1]) / (2 * nexp)
         radius, damping, sign = (lam[-1] - lam[0]) / (2 * nexp), 0.0, -1
-        mats = [H0 / nexp - center * np.eye(H0.shape[0])]
+        G0 = H0 / nexp - center * np.eye(H0.shape[0])
+        mats = [G0.real]
+        y = np.ascontiguousarray(y, dtype=np.complex128)
     else:
         Q, Lr, d = _real_liouvillian(H0, Ls)
         Qh = Q.conj().T.tocsr()
@@ -476,9 +487,18 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     done = np.cumsum(nsub)[np.searchsorted(cuts, times[1:]) - 1]
 
     # w M + w* M† = Re(w) (M + M†) + Im(w) i(M - M†): Hermitian terms with
-    # real weights (nb x interval x exponential); a term whose operator or
-    # weights vanish is dropped
+    # real weights (nb x interval x exponential). For kets every term K,
+    # G0 included, is split into Re K and Im K, the latter weighted by i, so
+    # the stack is real. A term whose operator or weights vanish is dropped.
     weights = []
+
+    def add(mat, wt):
+        if np.any(mat) and np.any(wt):
+            mats.append(mat)
+            weights.append(wt)
+
+    if Ls is None:
+        add(G0.imag, np.full((1, steps.size, nexp), 1j))
     for e, (_, op) in enumerate(sched.envelopes):
         x = (starts[:, None] + steps[:, None] * CF4_NODES - sched.t0) / sched.dt
         i = np.minimum(x.astype(int), envs[e].shape[-1] - 2)
@@ -489,8 +509,12 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
             if np.any(mat) and np.any(wt):
                 g = mat if Ls is None else _ad(mat)
                 radius += float(np.max(np.abs(wt))) * float(abs(g).sum(axis=1).max())
-                mats.append(g if Ls is None else (Q @ (-1j * g) @ Qh).real)
-                weights.append(wt)
+                if Ls is None:
+                    add(mat.real, wt)
+                    add(mat.imag, 1j * wt)
+                else:
+                    mats.append((Q @ (-1j * g) @ Qh).real)
+                    weights.append(wt)
     if not math.isfinite(radius):
         raise NonFiniteState(f"non-finite spectral bound at t = {starts[0]:.4g} us")
     if radius == 0.0:  # zero generator: any positive scale gives the identity
@@ -499,6 +523,11 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     # h B of rho
     stack = (2.0 / radius) * (np.concatenate(mats) if Ls is None
                               else sparse.vstack(mats, format="csr"))
+    if Ls is None:  # one dgemm on the float64 view (dim x 2 nb) of the kets
+        def mul(u):
+            return (stack @ u.view(np.float64)).view(np.complex128)
+    else:
+        mul = stack.__matmul__
 
     nxt = 0
     coefs: dict = {}
@@ -510,14 +539,14 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
         phase, coef = coefs[h]
         for e in range(nexp):
             def apply_a(u, wk=[wt[:, k, e] for wt in weights]):
-                p = (stack @ u).reshape(-1, *u.shape)
+                p = mul(u).reshape(-1, *u.shape)
                 out = p[0]
                 for q, wq in enumerate(wk):
                     out = out + wq * p[q + 1]
                 return out
-            # with no drive term A is the stack itself, applied without the
-            # wrapper's cost on every term
-            y = _chebyshev_series(apply_a if weights else stack.__matmul__, y, coef, sign)
+            # with no weighted term A is the stack itself, applied without
+            # the wrapper's cost on every term
+            y = _chebyshev_series(apply_a if weights else mul, y, coef, sign)
             if center:  # 0 for rho, whose x stays real
                 y = phase * y
         if not np.all(np.isfinite(y)):

@@ -85,6 +85,17 @@ def test_diagnostics_strong_zeno_drive(tmp_path):
     assert cli.diagnostics(quiet) == []
 
 
+def test_validate_warns_when_the_wigner_grid_misses_the_lobes(tmp_path, capsys):
+    # the lobes of alpha_sq = 25 sit at |beta| = 5, past the default extent 4
+    far = write_cfg(tmp_path, "experiment: wigner\nparameters:\n  alpha_sq: 25.0\n")
+    assert cli.main(["validate", "--config", far]) == 0
+    out = capsys.readouterr().out
+    assert "warning: extent=4 does not cover the Wigner lobes" in out
+    assert "use extent >= 7" in out
+    near = write_cfg(tmp_path, "experiment: wigner\n", name="near.yaml")
+    assert cli.diagnostics(cli.load_config(near)) == []
+
+
 # ------------------------------------------------------------------ main/exit
 
 def test_main_exit_codes(tmp_path, capsys):

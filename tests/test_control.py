@@ -144,6 +144,20 @@ def test_chevron_map_equals_per_cell_transfer(cat4):
     assert np.max(np.abs(grid - cells)) < 1e-10
 
 
+def test_gate_is_invariant_under_the_phase_of_eps2(cat4):
+    # a -> a e^{i phi/2} takes H_KC(|eps2| e^{i phi}) to H_KC(|eps2|) and
+    # leaves n unchanged, so the transfer does not depend on phi; a complex
+    # eps2 gives CF4 imaginary terms, a real one none
+    params, trunc = cat4
+    turned = KerrCatParams(K=K, eps2=4.0 * K * np.exp(0.7j))
+    spec = XGateSpec(Tg=0.32, delta0=-8.2 * K)
+    assert abs(x_gate_transfer(spec, turned, trunc, 2)
+               - x_gate_transfer(spec, params, trunc, 2)) < 1e-10
+    tgs, d0s = np.array([0.12, 0.32]), np.array([-8.2, -2.5, 0.0])
+    assert np.max(np.abs(chevron_map(turned, trunc, tgs, d0s)
+                         - chevron_map(params, trunc, tgs, d0s))) < 1e-10
+
+
 def _flood_fill_lobes(mask):
     # reference: count 4-connected regions by an explicit flood fill
     seen = np.zeros_like(mask, dtype=bool)

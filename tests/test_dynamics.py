@@ -414,19 +414,24 @@ def test_sample_times_must_lie_on_the_envelope_grid(run):
             go(np.array(times))
 
 
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=50)
 @given(dim=st.integers(2, 8), nenv=st.integers(1, 2), nsamp=st.integers(2, 12),
        dt=st.floats(0.005, 0.01), t0=st.floats(-1.0, 1.0),
        seed=st.integers(0, 2**32 - 1),
-       fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5, unique=True))
-def test_evolve_ket_schedule_matches_dop853(dim, nenv, nsamp, dt, t0, seed, fractions):
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5, unique=True),
+       real=st.booleans())
+def test_evolve_ket_schedule_matches_dop853(dim, nenv, nsamp, dt, t0, seed, fractions,
+                                            real):
     # CF4 on random schedules (non-Hermitian complex drives, sample times off
-    # the envelope grid) against solve_ivp on the linearly interpolated H(t)
+    # the envelope grid) against solve_ivp on the linearly interpolated H(t);
+    # the real leg (real h0, operators and envelopes, a complex ket) leaves
+    # CF4 no imaginary term
     rng = np.random.default_rng(seed)
     tr = Truncation(dim)
 
     def cmat():
-        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return m.real.astype(complex) if real else m
 
     def unit(m):
         return m / np.linalg.norm(m, 2)
@@ -437,13 +442,13 @@ def test_evolve_ket_schedule_matches_dop853(dim, nenv, nsamp, dt, t0, seed, frac
 
     h0, obs = hermitian(), hermitian()
     ops = [Operator(unit(cmat()), tr) for _ in range(nenv)]
-    envs = [rng.uniform(-1, 1, nsamp) + 1j * rng.uniform(-1, 1, nsamp)
+    envs = [rng.uniform(-1, 1, nsamp) + 1j * rng.uniform(-1, 1, nsamp) * (not real)
             for _ in range(nenv)]
     sched = Schedule(h0, list(zip(envs, ops)), dt=dt, t0=t0)
     grid = t0 + dt * np.arange(nsamp)
     times = np.unique(t0 + (nsamp - 1) * dt * np.array(fractions))
     assume(times.size >= 2 and np.min(np.diff(times)) > 1e-6)
-    amp = cmat()[0]
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 = Ket(amp / np.linalg.norm(amp), tr)
 
     res = evolve_ket(psi0, sched, times, {"o": obs})
@@ -467,6 +472,32 @@ def test_evolve_ket_schedule_matches_dop853(dim, nenv, nsamp, dt, t0, seed, frac
     gap = np.min(np.abs(grid[:, None] - times[None, :]), axis=1)
     inside = np.sum((grid > times[0]) & (grid < times[-1]) & (gap > 1e-9 * dt))
     assert res.nsteps == times.size - 1 + inside
+
+
+@pytest.mark.parametrize("layout", ["fortran", "sliced"])
+def test_cf4_ket_block_layout_leaves_result_and_input_unchanged(layout):
+    # a ket block that is not C-contiguous advances as its C-ordered copy,
+    # and the caller's array is not written
+    rng = np.random.default_rng(7)
+    dim, nb = 6, 3
+    tr = Truncation(dim)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    sched = Schedule(Operator((m + m.conj().T) / 2, tr, hermitian_hint=True),
+                     [(rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6),
+                       annihilation(tr))], dt=0.01)
+    times = np.array([0.0, 0.03, 0.05])
+    block = rng.normal(size=(dim, nb)) + 1j * rng.normal(size=(dim, nb))
+    if layout == "fortran":
+        y = np.asfortranarray(block)
+    else:
+        y = np.repeat(block, 2, axis=1)[:, ::2]
+        assert np.array_equal(y, block)
+    assert not y.flags.c_contiguous
+    kept = y.copy()
+    want = [s for s, _ in dynamics._cf4(sched, times, block)]
+    got = [s for s, _ in dynamics._cf4(sched, times, y)]
+    assert np.array_equal(y, kept)
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-14
 
 
 @settings(deadline=None, max_examples=25)
