@@ -155,7 +155,7 @@ def chevron_map(params: KerrCatParams, trunc: Truncation, tg_grid, delta0_over_k
         envs = (d0_grid[:, None] * unit_env)[None]
         psi = start
         for _ in range(n_gates):
-            psi, _ = next(_cf4(sched, times, psi, envs=envs))
+            psi = next(_cf4(sched, times, psi, envs=envs))[0]
             psi = psi / np.linalg.norm(psi, axis=0)
         out[:, j] = np.abs(frame.w_minus.amp.conj() @ psi) ** 2
     return out

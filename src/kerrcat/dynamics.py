@@ -25,10 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import daxpy, dgemm, zaxpy
 from scipy.optimize import curve_fit
+# y += A x in C for a CSR A: private, but its signature has held for many
+# scipy releases, and A @ x wraps it in ~3 us of Python dispatch per call
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.special import jv
 
 from .catframe import build_cat_frame
@@ -288,6 +293,7 @@ class EvolutionResult:
     observables: dict
     final_state: DensityMatrix
     nsteps: int = 0
+    nterms: int = 0  # Chebyshev matrix products, summed over the exponentials
     trace_drift: float = 0.0
     final_ket: Ket | None = None  # populated by pure-state evolution only
 
@@ -330,19 +336,52 @@ def _bessel_weights(x: float) -> np.ndarray:
     return np.where(k[:m] == 0, 1.0, 2.0) * bessel[:m]
 
 
-def _chebyshev_series(apply_a, v: np.ndarray, coef: np.ndarray,
-                      sign: int = -1) -> np.ndarray:
-    """sum_k coef[k] P_k v, given apply_a(u) = A u, with P_0 = 1, P_1 = A/2
-    and P_{k+1} = A P_k + sign P_{k-1}: the Chebyshev polynomials
-    P_k = T_k(A/2) for sign = -1, and P_k = (-i)^k T_k(iA/2) for sign = +1,
-    which are real for a real A."""
-    step = np.subtract if sign < 0 else np.add
-    t_prev, t_cur = v, 0.5 * apply_a(v)
-    acc = coef[0] * t_prev + coef[1] * t_cur
-    for c in coef[2:]:
-        t_prev, t_cur = t_cur, step(apply_a(t_cur), t_prev)
-        acc += c * t_cur
-    return acc
+def _chebyshev_series(M, w: np.ndarray, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] P_k v for the block v (n x nb) and A = sum_q w[q] M_q,
+    given M = [M_0 | M_1 | ... | M_Q], Q + 1 real n x n matrices side by
+    side, and w ((Q+1) x nb) the weights of each column of v, w[0] = 1.
+    P_0 = 1, P_1 = A/2 and P_{k+1} = A P_k + P_{k-1} for a CSR M and a real
+    v (P_k = (-i)^k T_k(iA/2), real for a real A), A P_k - P_{k-1} for a
+    dense M and a complex v (P_k = T_k(A/2)).
+
+    Each term is one multiply-accumulate written over the older of two
+    rotating buffers, t_{k+1} = M U_k +- t_{k-1}, where U_k = (t_k,
+    w[1] t_k, ..., w[Q] t_k) is filled in place by one broadcast multiply
+    (U_k is t_k itself when Q = 0), and the sum gains coef[k] t_k by one
+    BLAS axpy; no array is allocated per term. A CSR M goes through
+    csr_matvec, scipy's C kernel for y += M x: M @ x reaches the same
+    kernel only after about 3 us of Python dispatch, as long as the product
+    itself at dim 18. A dense M goes through BLAS dgemm with beta = -1 on the
+    float64 views of the complex buffers (real and imaginary parts
+    interleaved), passed transposed so that the C-ordered arrays reach BLAS
+    as Fortran ones, uncopied. v is read, never written.
+    """
+    # two rotating buffers, each U = (t, w[1] t, ..., w[Q] t); every view
+    # below shares their memory
+    bufs = np.zeros((2, len(w)) + v.shape, complex if isinstance(M, np.ndarray) else float)
+    ts, rest = [bufs[0, 0], bufs[1, 0]], [bufs[0, 1:], bufs[1, 1:]]
+    flat = [t.reshape(-1) for t in ts]
+    if sparse.issparse(M):  # y += M x
+        if M.shape != (v.size, len(w) * v.size):  # csr_matvec checks no bounds
+            raise ValueError(f"CSR stack of shape {M.shape} for {len(w)} x {v.size} blocks")
+        muladd = partial(csr_matvec, M.shape[0], M.shape[1], M.indptr, M.indices, M.data)
+        xs, ys, axpy = [b.reshape(-1) for b in bufs], flat, daxpy
+    else:  # y = M x - y, transposed: the C-ordered views read as Fortran ones
+        def muladd(x, y, MT=M.T):
+            dgemm(1.0, x, MT, -1.0, y, 0, 0, 1)
+        xs = [b.reshape(-1, v.shape[1]).view(float).T for b in bufs]
+        ys, axpy = [t.view(float).T for t in ts], zaxpy
+    ts[0][...] = v
+    acc, wq, fill = coef[0] * flat[0], w[1:, None], len(w) > 1
+    for k, c in enumerate(coef[1:]):
+        new, old = k & 1, 1 - (k & 1)  # t_{k+1} is written over t_{k-1}
+        if fill:
+            np.multiply(wq, ts[new], out=rest[new])
+        muladd(xs[new], ys[old])
+        if not k:  # P_1 = A/2
+            ts[1] *= 0.5
+        axpy(flat[old], acc, acc.size, c)
+    return acc.reshape(v.shape)
 
 
 def _ad(X: np.ndarray) -> sparse.csr_matrix:
@@ -400,7 +439,8 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     """Advance y through sched with the fourth-order commutator-free
     exponential integrator CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519
     (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), yielding
-    (state, intervals taken so far) at every sample time after the first.
+    (state, intervals taken so far, matrix products taken so far) at every
+    sample time after the first. Each yielded state is an array of its own.
 
     With Ls None, y is a block of kets (dim x nb) under
     H_b(t) = h0 + sum_e c_eb(t) M_e + c_eb*(t) M_e†: every column shares h0,
@@ -435,20 +475,23 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     call: the half-width of that spectrum, (range of h0)/(2 nexp) for kets
     and (range of h0 + d)/nexp for rho, plus max |weight| times the row-sum
     norm of each Hermitian drive term (of ad P for rho). For kets the series
-    is in T_k((G - center)/radius) with weights (-i)^k J_k; for rho it is
-    the real recurrence (sign +1) in the real exponent, with real weights
-    J_k. An exponential costs about h * radius matrix-vector products; the
-    Bessel weights are computed once per distinct interval length. h0 must
-    be Hermitian.
+    is in T_k((G - center)/radius) with weights e^{-i h center} (-i)^k J_k;
+    for rho it is the real recurrence P_{k+1} = A P_k + P_{k-1} in the real
+    exponent, with real weights J_k. An exponential costs about
+    h * radius matrix-vector products; the Bessel weights are computed once
+    per distinct interval length. h0 must be Hermitian.
 
     Both routes apply real matrices only. For kets each term K of G (G0 and
     each Hermitian drive term) is split into Re K and Im K, the latter a
     term of its own weighted by i, and parts that vanish are dropped, so a
     real H (the Kerr-cat H with real eps2, the gate's n/2, the ramp's a†²
-    under a real envelope) leaves real terms only. The stacked parts act on
-    the ket block as one real matrix product on its float64 view
-    (dim x 2 nb, real and imaginary parts interleaved), which is viewed back
-    as complex; the block is copied only if it is not C-contiguous complex.
+    under a real envelope) leaves real terms only. The terms are stacked
+    side by side, [G0 | P_1 | ... | P_Q], dense for kets and CSR for rho
+    (whose x is then an n x 1 block), and their weights for each
+    exponential and column are one (Q+1) x nb array, so every Chebyshev
+    term is one multiply-accumulate of _chebyshev_series: csr_matvec for
+    rho, one dgemm on the float64 view of the ket block for kets. A
+    constant generator has Q = 0. The caller's y is never written.
 
     Raises NonFiniteState, naming the start of the interval, when the
     spectral bound or the state is not finite.
@@ -461,16 +504,15 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     lam = np.linalg.eigvalsh(H0)
     if Ls is None:
         center = (lam[0] + lam[-1]) / (2 * nexp)
-        radius, damping, sign = (lam[-1] - lam[0]) / (2 * nexp), 0.0, -1
+        radius, damping = (lam[-1] - lam[0]) / (2 * nexp), 0.0
         G0 = H0 / nexp - center * np.eye(H0.shape[0])
         mats = [G0.real]
-        y = np.ascontiguousarray(y, dtype=np.complex128)
     else:
         Q, Lr, d = _real_liouvillian(H0, Ls)
         Qh = Q.conj().T.tocsr()
-        center, radius, damping, sign = 0.0, (lam[-1] - lam[0] + d) / nexp, d / nexp, 1
+        center, radius, damping = 0.0, (lam[-1] - lam[0] + d) / nexp, d / nexp
         mats = [Lr / nexp]
-        y = (Q @ y).real
+        y = (Q @ y).real[:, None]
 
     tol = SPAN_RTOL * sched.dt
     grid = sched.t0 + sched.dt * np.arange(max((env.size for env, _ in sched.envelopes),
@@ -490,7 +532,7 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     # real weights (nb x interval x exponential). For kets every term K,
     # G0 included, is split into Re K and Im K, the latter weighted by i, so
     # the stack is real. A term whose operator or weights vanish is dropped.
-    weights = []
+    weights = [np.ones((1, steps.size, nexp))]
 
     def add(mat, wt):
         if np.any(mat) and np.any(wt):
@@ -520,39 +562,27 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     if radius == 0.0:  # zero generator: any positive scale gives the identity
         radius = 1.0
     # A = 2 (G - center) / radius for kets, 2 B / radius for the real exponent
-    # h B of rho
-    stack = (2.0 / radius) * (np.concatenate(mats) if Ls is None
-                              else sparse.vstack(mats, format="csr"))
-    if Ls is None:  # one dgemm on the float64 view (dim x 2 nb) of the kets
-        def mul(u):
-            return (stack @ u.view(np.float64)).view(np.complex128)
-    else:
-        mul = stack.__matmul__
+    # h B of rho; W[:, k, e] weighs the stacked terms in exponential e of
+    # piece k, per column
+    stack = (2.0 / radius) * (np.concatenate(mats, axis=1) if Ls is None
+                              else sparse.hstack(mats, format="csr"))
+    W = np.stack(np.broadcast_arrays(*(np.moveaxis(wt, 0, -1) for wt in weights)))
 
-    nxt = 0
+    nxt = nterms = 0
     coefs: dict = {}
     for k, h in enumerate(steps):
         if h not in coefs:
             w = _bessel_weights(h * radius)
-            coefs[h] = (np.exp(-1j * h * center),
-                        w * (-1j) ** np.arange(w.size) if Ls is None else w)
-        phase, coef = coefs[h]
+            coefs[h] = (np.exp(-1j * h * center) * (-1j) ** np.arange(w.size) * w
+                        if Ls is None else w)
+        coef = coefs[h]
         for e in range(nexp):
-            def apply_a(u, wk=[wt[:, k, e] for wt in weights]):
-                p = mul(u).reshape(-1, *u.shape)
-                out = p[0]
-                for q, wq in enumerate(wk):
-                    out = out + wq * p[q + 1]
-                return out
-            # with no weighted term A is the stack itself, applied without
-            # the wrapper's cost on every term
-            y = _chebyshev_series(apply_a if weights else mul, y, coef, sign)
-            if center:  # 0 for rho, whose x stays real
-                y = phase * y
+            y = _chebyshev_series(stack, W[:, k, e], y, coef)
+        nterms += nexp * (coef.size - 1)
         if not np.all(np.isfinite(y)):
             raise NonFiniteState(f"non-finite state at t = {starts[k]:.4g} us")
         if done[nxt] == k + 1:
-            yield (y if Ls is None else Qh @ y), k + 1
+            yield (y if Ls is None else Qh @ y[:, 0]), k + 1, nterms
             nxt += 1
 
 
@@ -576,7 +606,8 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     increasing t_span. A schedule with envelopes takes two per interval of
     the envelope grid cut at the sample times, and t_span must lie on that
     grid. Intervals are cut further into pieces that keep the damping of
-    each exponential bounded; nsteps is the number of pieces taken.
+    each exponential bounded; nsteps is the number of pieces taken, and
+    nterms the number of Chebyshev matrix products.
 
     There is no error control: under envelopes the envelope grid sets the
     accuracy. Strong loss against the grid spacing (interval * d/2 >~ 1,
@@ -599,7 +630,7 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     states = _cf4(sched, times, r.reshape(-1), Ls)
 
     series: dict = {name: [] for name in observables}
-    total_steps = 0
+    total_steps = total_terms = 0
     drift = abs(float(np.real(np.trace(r))) - 1.0)
     kept = 1
 
@@ -609,7 +640,7 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
 
     sample(r)
     stop_name, stop_thresh = early_stop if early_stop else (None, None)
-    for v, total_steps in states:
+    for v, total_steps, total_terms in states:
         r = v.reshape(dim, dim)
         sample(r)
         kept += 1
@@ -624,6 +655,7 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
         observables={k: np.asarray(v) for k, v in series.items()},
         final_state=final,
         nsteps=total_steps,
+        nterms=total_terms,
         trace_drift=drift,
     )
 
@@ -634,13 +666,14 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> Evoluti
     A constant Hamiltonian (an Operator, or a Schedule without envelopes) is
     propagated exactly: H = V diag(lam) V† is diagonalised once and every
     sample is psi(t) = V diag(exp(-i lam (t - t0))) V† psi0, for any
-    increasing t_span, uniform or not; nsteps is then 0.
+    increasing t_span, uniform or not; nsteps and nterms are then 0.
 
     A schedule with envelopes is integrated by the fourth-order
     commutator-free exponential scheme CF4 on the envelope grid, cut at every
     sample time: two Chebyshev-series exponentials per interval, with an
     error fifth order in the interval length. nsteps is then the number of
-    CF4 intervals taken. t_span must lie on the envelope grid.
+    CF4 intervals taken, and nterms the number of Chebyshev matrix products.
+    t_span must lie on the envelope grid.
 
     Raises NotHermitian for an h0 that is not Hermitian, DimMismatch for a
     state or observable of another dim than h0, ValueError for sample times
@@ -655,11 +688,11 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> Evoluti
         lam, V = np.linalg.eigh(H0)
         phases = np.exp(-1j * np.outer(times - times[0], lam))
         psis = (phases * (V.conj().T @ psi)) @ V.T  # row j is psi(times[j])
-        total_steps = 0
+        total_steps = total_terms = 0
     else:
         out = list(_cf4(sched, times, psi[:, None]))
-        psis = np.array([psi] + [state[:, 0] for state, _ in out])
-        total_steps = out[-1][1]
+        psis = np.array([psi] + [state[:, 0] for state, _, _ in out])
+        _, total_steps, total_terms = out[-1]
     series = {name: np.real(np.sum(psis.conj() * (psis @ op.mat.T), axis=1))
               for name, op in observables.items()}
 
@@ -670,6 +703,7 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> Evoluti
         observables=series,
         final_state=k.to_density_matrix(),
         nsteps=total_steps,
+        nterms=total_terms,
         trace_drift=drift,
         final_ket=k,
     )

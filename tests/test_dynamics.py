@@ -4,20 +4,22 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.integrate import solve_ivp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kerrcat import (BathSpec, DensityMatrix, DetuningNoise, JumpTerm,
-                     KerrCatParams, Ket, Schedule, Truncation, annihilation,
-                     bose_einstein,
+                     KerrCatParams, Ket, Schedule, Truncation, XGateSpec,
+                     annihilation, bose_einstein, build_cat_frame,
                      build_dephasing, build_full_dissipators,
                      build_nrwa_dissipators, build_rwa_dissipators,
                      coherent_state, creation,
                      default_snail, default_truncation, evolve, evolve_ket,
                      fit_exponential, fock_state, kerr_cat_hamiltonian,
                      lifetime_T_alpha, lifetime_T_C, liouvillian_matrix, nbar_time_avg,
-                     number_operator, plateau_bath, standard_bath, tc_tradeoff)
+                     number_operator, plateau_bath, standard_bath, tc_tradeoff,
+                     x_gate_schedule)
 from kerrcat import dynamics
 from kerrcat.dynamics import _lifetime_truncation, _real_liouvillian
 from kerrcat.errors import (DimMismatch, FitDiverged, NonFiniteState,
@@ -494,10 +496,124 @@ def test_cf4_ket_block_layout_leaves_result_and_input_unchanged(layout):
         assert np.array_equal(y, block)
     assert not y.flags.c_contiguous
     kept = y.copy()
-    want = [s for s, _ in dynamics._cf4(sched, times, block)]
-    got = [s for s, _ in dynamics._cf4(sched, times, y)]
+    want = [s for s, _, _ in dynamics._cf4(sched, times, block)]
+    got = [s for s, _, _ in dynamics._cf4(sched, times, y)]
     assert np.array_equal(y, kept)
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-14
+
+
+def _plain_series(A, v, coef, sign):
+    """sum_k coef[k] P_k v by the three-term recurrence, P_0 = 1, P_1 = A/2,
+    P_{k+1} = A P_k + sign P_{k-1}, with A @ x and fresh arrays; also
+    sum_k |coef[k]| max|P_k v|, the scale of its round-off."""
+    t_prev, t_cur = v, 0.5 * (A @ v)
+    acc = coef[0] * t_prev + coef[1] * t_cur
+    scale = abs(coef[0]) * np.max(np.abs(t_prev)) + abs(coef[1]) * np.max(np.abs(t_cur))
+    for c in coef[2:]:
+        t_prev, t_cur = t_cur, A @ t_cur + sign * t_prev
+        acc = acc + c * t_cur
+        scale += abs(c) * np.max(np.abs(t_cur))
+    return acc, scale
+
+
+@settings(deadline=None, max_examples=60)
+@given(route=st.sampled_from(["rho", "ket"]), n=st.integers(2, 40),
+       nq=st.integers(1, 3), nb=st.integers(1, 4), nterms=st.integers(2, 40),
+       layout=st.sampled_from(["C", "fortran", "sliced"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_chebyshev_series_matches_plain_recurrence(route, n, nq, nb, nterms, layout,
+                                                   seed):
+    # each term of _chebyshev_series is one in-place multiply-accumulate
+    # (csr_matvec for a CSR stack, dgemm for a dense one); it must sum the
+    # same polynomial as the plain recurrence, and leave v as it was
+    rng = np.random.default_rng(seed)
+    blocks = [scipy.sparse.random(n, n, density=min(1.0, 4.0 / n), random_state=rng)
+              .toarray() * rng.normal() for _ in range(nq)]
+    blocks = [b / max(1.0, np.abs(b).sum(axis=1).max()) for b in blocks]
+    if route == "rho":  # real CSR stack, real block and weights, sign +1
+        nb, sign, dtype = 1, 1, float
+        M = scipy.sparse.csr_matrix(np.hstack(blocks))
+        v = rng.normal(size=(n, nb))
+        w = rng.normal(size=(nq, nb))
+        coef = rng.normal(size=nterms)
+    else:  # dense real stack, complex block and weights, sign -1
+        sign, dtype = -1, complex
+        M = np.hstack(blocks)
+        v = rng.normal(size=(n, nb)) + 1j * rng.normal(size=(n, nb))
+        w = rng.normal(size=(nq, nb)) + 1j * rng.normal(size=(nq, nb))
+        coef = rng.normal(size=nterms) + 1j * rng.normal(size=nterms)
+    w[0] = 1.0
+    if layout == "fortran":
+        v = np.asfortranarray(v)
+    elif layout == "sliced":
+        v = np.repeat(v, 2, axis=0)[::2]
+    kept = v.copy()
+    got = dynamics._chebyshev_series(M, w, v, coef)
+    assert np.array_equal(v, kept)
+    assert got.shape == v.shape and got.dtype == dtype
+    for b in range(nb):
+        A = sum(w[q, b] * blocks[q] for q in range(nq))
+        want, scale = _plain_series(A, v[:, b], coef, sign)
+        assert np.max(np.abs(got[:, b] - want)) <= 1e-13 * scale
+
+
+def test_chebyshev_series_rejects_a_csr_stack_of_another_shape():
+    # csr_matvec reads x and writes y without bounds checks
+    M = scipy.sparse.csr_matrix(np.ones((4, 8)))
+    with pytest.raises(ValueError, match="CSR stack"):
+        dynamics._chebyshev_series(M, np.ones((3, 1)), np.ones((4, 1)), np.ones(3))
+    with pytest.raises(ValueError, match="CSR stack"):
+        dynamics._chebyshev_series(M, np.ones((2, 2)), np.ones((4, 2)), np.ones(3))
+
+
+@pytest.mark.parametrize("route", ["rho", "ket"])
+def test_cf4_yields_states_that_later_terms_do_not_overwrite(route):
+    # the series rotates two buffers in place; every yielded state must be an
+    # array of its own, since evolve_ket and chevron_map keep them
+    rng = np.random.default_rng(11)
+    dim, tr = 5, Truncation(5)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    sched = Schedule(Operator((m + m.conj().T) / 2, tr, hermitian_hint=True),
+                     [(rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9),
+                       annihilation(tr))], dt=0.01)
+    times = np.array([0.0, 0.015, 0.03, 0.05, 0.07, 0.08])
+    if route == "rho":
+        y, Ls = np.eye(dim, dtype=complex).reshape(-1) / dim, [annihilation(tr).mat]
+    else:
+        y, Ls = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)), None
+    states = dynamics._cf4(sched, times, y, Ls)
+    kept = [(s, s.copy()) for s, _, _ in states]
+    assert len(kept) == times.size - 1
+    for s, copy in kept:
+        assert np.array_equal(s, copy)
+    assert all(not np.shares_memory(a, b) for (a, _), (b, _) in zip(kept, kept[1:]))
+
+
+def test_chebyshev_term_counts_are_pinned():
+    # the matrix products of three fixed runs: any change to the series that
+    # keeps its polynomial keeps these counts
+    p = KerrCatParams(K=K, eps2=4.0 * K)
+    tr = default_truncation(p.alpha)
+    jumps = build_full_dissipators(standard_bath().scaled(100.0), default_snail(),
+                                   p.eps2, tr)
+    # criterion 4's T_alpha run at alpha^2 = 4 (one trial, early stop)
+    noise = DetuningNoise(mean=0.03 * K, std=0.002 * K, trials=1, seed=0)
+    h = kerr_cat_hamiltonian(KerrCatParams(K=K, eps2=p.eps2,
+                                           detuning=float(noise.draws()[0])), tr)
+    frame = build_cat_frame(h)
+    res = evolve(frame.w_plus.to_density_matrix(), h, jumps, np.linspace(0.0, 40.0, 161),
+                 {"z": frame.z}, early_stop=("z", dynamics.LIFETIME_EARLY_STOP))
+    assert (res.times.size, res.nsteps, res.nterms) == (30, 319, 63481)
+    # criterion 4's T_C run at alpha^2 = 4
+    h = kerr_cat_hamiltonian(p, tr)
+    frame = build_cat_frame(h)
+    res = evolve(frame.v_even.to_density_matrix(), h, jumps, np.linspace(0.0, 0.4, 121))
+    assert (res.nsteps, res.nterms) == (120, 6360)
+    # the chevron's design cell, one closed X(pi/2) gate
+    sched = x_gate_schedule(XGateSpec(Tg=0.32, delta0=-8.2 * K), p, tr)
+    res = evolve_ket(frame.w_plus, sched, np.array([0.0, 0.32]))
+    assert (res.nsteps, res.nterms) == (320, 12160)
+    assert evolve_ket(frame.w_plus, h, np.array([0.0, 0.32])).nterms == 0
 
 
 @settings(deadline=None, max_examples=25)

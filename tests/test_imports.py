@@ -1,4 +1,5 @@
-"""Every name a kerrcat module imports is used in that module.
+"""Every name a kerrcat module imports is used in that module, and
+importing kerrcat loads no module it only needs on some calls.
 
 A stdlib ``ast`` scan: the names bound by ``import`` and ``from ... import``
 statements (``from __future__`` excepted) must each be read somewhere in the
@@ -6,6 +7,9 @@ module, in code or in a quoted annotation. ``__init__.py`` is exempt: its
 imports are the package's re-exports.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,13 @@ def test_scan_flags_an_unused_import():
                      "def f(x: 'np.ndarray'):\n    return pi\n")
     assert set(imported_names(tree)) == {"np", "pi", "tau"}
     assert set(imported_names(tree)) - used_names(tree) == {"tau"}
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    # count_transfer_lobes imports scipy.ndimage on first use: at module level
+    # it added ~70 ms to every `import kerrcat`
+    env = {**os.environ, "PYTHONPATH": str(Path(kerrcat.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, kerrcat; print('scipy.ndimage' in sys.modules)"],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
