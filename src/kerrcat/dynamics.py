@@ -13,7 +13,9 @@ angular (rad/us). Each class of problem has one route:
   integrated by the same CF4 scheme in real arithmetic, on the coordinates
   of rho in an orthonormal Hermitian basis where the sparse Liouvillian L is
   a real matrix (:func:`_real_liouvillian`). Without envelopes an interval
-  is one exponential exp(L dt), with two per interval under envelopes.
+  is one exponential exp(L dt), with two per interval under envelopes. L
+  conserves the relative photon-number parity of rho's entries, so a state
+  in one of the two parity blocks is advanced in that block alone.
 
 Every route is an exponential: the Chebyshev routes share one series
 (:func:`_chebyshev_series`) and one construction of the sparse Liouvillian
@@ -414,10 +416,16 @@ def _real_liouvillian(H: np.ndarray, Ls: list):
     E_ii, (E_ij + E_ji)/sqrt(2), i(E_ij - E_ji)/sqrt(2) (i < j).
 
     Q is the sparse unitary taking row-major vec(rho) to the coordinates of
-    rho in that basis; they are real for a Hermitian rho, and they sit where
-    rho_ii, rho_ij and rho_ji sit in vec(rho). L maps Hermitian matrices to
-    Hermitian matrices, so L_r = Q L Q† is real (CSR); d is that of
-    _sparse_liouvillian.
+    rho in that basis; they are real for a Hermitian rho. Each coordinate
+    belongs to one position (i, j) of rho, and they are ordered by block:
+    first the even block (i + j even), the first (dim² + 1) // 2
+    coordinates, then the odd block, each in the row-major order of its
+    positions. L maps Hermitian matrices to Hermitian matrices, so
+    L_r = Q L Q† is real (CSR); d is that of _sparse_liouvillian. When H
+    and every jump have definite photon-number parity, L conserves the
+    relative parity (i + j) mod 2 and L_r is block diagonal: for the full
+    bath at dim 28 the blocks hold 392 coordinates each, with 4866 and 4996
+    of the 9862 nonzeros.
     """
     dim = H.shape[0]
     i, j = np.triu_indices(dim, 1)
@@ -427,7 +435,9 @@ def _real_liouvillian(H: np.ndarray, Ls: list):
     cols = np.concatenate([diag, up, lo, up, lo])
     vals = np.concatenate([np.ones(dim), np.full(i.size, s), np.full(i.size, s),
                            np.full(i.size, -1j * s), np.full(i.size, 1j * s)])
-    Q = sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    pos = np.arange(dim * dim)
+    block_order = np.argsort((pos // dim + pos % dim) % 2, kind="stable")
+    Q = sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))[block_order]
     adH, D, d = _sparse_liouvillian(H, Ls)
     Lr = (Q @ (-1j * adH + D) @ Q.conj().T).real
     Lr.eliminate_zeros()
@@ -492,6 +502,15 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     term is one multiply-accumulate of _chebyshev_series: csr_matvec for
     rho, one dgemm on the float64 view of the ket block for kets. A
     constant generator has Q = 0. The caller's y is never written.
+
+    For rho, x is split into the two relative-parity blocks of
+    _real_liouvillian. When x is zero on one block, and no stacked term has
+    a nonzero entry taking the other block into it, that block stays zero,
+    and only the other one is advanced: every term of the stack is cut to
+    it, and each product costs about half as much. This holds whenever H,
+    the drive terms and the jumps have definite photon-number parity. The
+    radius, the damping bound and the Bessel weights stay those of the whole
+    generator, so the series and nterms are unchanged.
 
     Raises NonFiniteState, naming the start of the interval, when the
     spectral bound or the state is not finite.
@@ -561,6 +580,12 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
         raise NonFiniteState(f"non-finite spectral bound at t = {starts[0]:.4g} us")
     if radius == 0.0:  # zero generator: any positive scale gives the identity
         radius = 1.0
+    if Ls is not None:  # advance one relative-parity block where that is exact
+        nev = (y.size + 1) // 2
+        for b, rest in ((slice(0, nev), slice(nev, None)), (slice(nev, None), slice(0, nev))):
+            if not np.any(y[rest]) and not any(np.any(m[rest, b].data) for m in mats):
+                mats, y, Qh = [m[b, b] for m in mats], y[b], Qh[:, b]
+                break
     # A = 2 (G - center) / radius for kets, 2 B / radius for the real exponent
     # h B of rho; W[:, k, e] weighs the stacked terms in exponential e of
     # piece k, per column
@@ -586,6 +611,14 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
             nxt += 1
 
 
+def _jump_matrices(jumps: list, dim: int) -> list:
+    """The sqrt(rate)-scaled matrices of the jumps of nonzero rate; raises
+    DimMismatch for a jump operator of another dim."""
+    if any(j.operator.dim != dim for j in jumps):
+        raise DimMismatch("jump operator dim mismatch")
+    return [j.scaled_matrix() for j in jumps if j.rate > 0.0]
+
+
 def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None = None,
            early_stop: tuple | None = None) -> EvolutionResult:
     """Integrate drho/dt = -i[H,rho] + sum rate*(L rho L† - ½{L†L, rho}).
@@ -607,7 +640,10 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     the envelope grid cut at the sample times, and t_span must lie on that
     grid. Intervals are cut further into pieces that keep the damping of
     each exponential bounded; nsteps is the number of pieces taken, and
-    nterms the number of Chebyshev matrix products.
+    nterms the number of Chebyshev matrix products. A rho0 in one
+    relative-parity block (rho_ij = 0 wherever i + j is odd, or wherever it
+    is even), under an h and jumps of definite photon-number parity, is
+    advanced in that block alone, at about half the cost (see _cf4).
 
     There is no error control: under envelopes the envelope grid sets the
     accuracy. Strong loss against the grid spacing (interval * d/2 >~ 1,
@@ -622,12 +658,8 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     """
     sched, times, observables = _checked_inputs(h, t_span, rho0.dim, observables)
     dim = rho0.dim
-    for j in jumps:
-        if j.operator.dim != dim:
-            raise DimMismatch("jump operator dim mismatch")
-    Ls = [j.scaled_matrix() for j in jumps if j.rate > 0.0]
     r = rho0.mat.astype(np.complex128)
-    states = _cf4(sched, times, r.reshape(-1), Ls)
+    states = _cf4(sched, times, r.reshape(-1), _jump_matrices(jumps, dim))
 
     series: dict = {name: [] for name in observables}
     total_steps = total_terms = 0
@@ -746,9 +778,11 @@ class ExpFit:
 def fit_exponential(t: np.ndarray, y: np.ndarray,
                     with_offset: bool = False) -> ExpFit:
     """Log-linear least squares over the window y > FIT_FLOOR, then nonlinear
-    refinement. When curve_fit raises RuntimeError (no convergence), the
-    log-linear estimate is returned with offset 0 and fell_back set. Raises
-    FitDiverged when no decaying fit exists.
+    refinement with the analytic Jacobian (a finite-difference one moved T
+    by up to 1e-8 relative under round-off in y). When curve_fit raises
+    RuntimeError (no convergence), the log-linear estimate is returned with
+    offset 0 and fell_back set. Raises FitDiverged when no decaying fit
+    exists.
     """
     t = np.asarray(t, float)
     y = np.asarray(y, float)
@@ -762,14 +796,18 @@ def fit_exponential(t: np.ndarray, y: np.ndarray,
         raise FitDiverged(f"non-decaying signal (log-slope {slope:.3g} >= 0)")
     T0, A0 = -1.0 / slope, math.exp(intercept)
     fell_back = False
+
+    def jac(tt, a, T, *c):  # d/d(a, T[, c]) of a exp(-t/T) [+ c]
+        e = np.exp(-tt / T)
+        return np.stack([e, a * tt / T ** 2 * e] + [np.ones_like(tt)] * len(c), axis=1)
     try:
         if with_offset:
             p, _ = curve_fit(lambda tt, a, T, c: a * np.exp(-tt / T) + c,
-                             t, y, p0=[A0, T0, 0.0], maxfev=20000)
+                             t, y, p0=[A0, T0, 0.0], jac=jac, maxfev=20000)
             a_fit, T_fit, c_fit = float(p[0]), float(p[1]), float(p[2])
         else:
             p, _ = curve_fit(lambda tt, a, T: a * np.exp(-tt / T),
-                             t, y, p0=[A0, T0], maxfev=20000)
+                             t, y, p0=[A0, T0], jac=jac, maxfev=20000)
             a_fit, T_fit, c_fit = float(p[0]), float(p[1]), 0.0
     except RuntimeError:
         a_fit, T_fit, c_fit, fell_back = A0, T0, 0.0, True
@@ -824,6 +862,35 @@ def _lifetime_truncation(p: KerrCatParams, trunc: Truncation | None) -> Truncati
     return trunc if trunc is not None else default_truncation(p.alpha)
 
 
+def _pointer_z(h: Operator, Ls: list, frame, times: np.ndarray,
+               stop: bool) -> tuple[np.ndarray, int]:
+    """<Z>(t) from rho0 = |w+><w+| under h and the jump matrices Ls, sampled
+    at times (up to the first sample below LIFETIME_EARLY_STOP if stop), and
+    the Chebyshev matrix products taken.
+
+    Z = |v_e><v_o| + |v_o><v_e| lies in the odd relative-parity block, so
+    <Z> reads only the odd part of rho. When every jump has definite
+    photon-number parity (as h has, for it has a cat frame), that part
+    evolves on its own: the run starts from the odd part of |w+><w+|,
+    (|v_e><v_o| + |v_o><v_e|)/2 = Z/2, and _cf4 advances the odd block
+    alone. Otherwise it starts from |w+><w+| itself, in both blocks. Each
+    sample is one dot product, Tr(Z rho) = vec(Z^T) . vec(rho).
+    """
+    z = frame.z.mat
+    zt = z.T.reshape(-1)
+    odd = np.add.outer(np.arange(z.shape[0]), np.arange(z.shape[0])) % 2 == 1
+    if all(not np.any(L[odd]) or not np.any(L[~odd]) for L in Ls):
+        y = z.reshape(-1) / 2.0
+    else:
+        y = np.outer(frame.w_plus.amp, frame.w_plus.amp.conj()).reshape(-1)
+    trace, nterms = [float(np.real(zt @ y))], 0
+    for v, _, nterms in _cf4(Schedule(h0=h), times, y, Ls):
+        trace.append(float(np.real(zt @ v)))
+        if stop and trace[-1] < LIFETIME_EARLY_STOP:
+            break
+    return np.asarray(trace), nterms
+
+
 def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
                      noise: DetuningNoise | None, t_max: float,
                      trunc: Truncation | None = None,
@@ -833,22 +900,24 @@ def lifetime_T_alpha(params: KerrCatParams, bath_jumps: list,
     with noise.seed), fit a single exponential. A single trial stops
     sampling once <Z> falls below LIFETIME_EARLY_STOP. Returns (T_alpha, fit
     residual RMS); T_alpha = inf when the signal never decays measurably.
+
+    <Z> reads only the odd relative-parity block of rho. So when every jump
+    has definite photon-number parity, as the bath's have, each run evolves
+    the odd part of the pointer state alone, in that block of the
+    Liouvillian: half its coordinates and nonzeros (see _pointer_z).
     """
     noise = noise or DetuningNoise()
     trunc = _lifetime_truncation(params, trunc)
+    Ls = _jump_matrices(bath_jumps, trunc.dim)
     times = np.linspace(0.0, t_max, nwindows + 1)
     deltas = noise.draws()
-    # only a single trial stops early, so every averaged trace has one length
-    stop = ("z", LIFETIME_EARLY_STOP) if noise.trials == 1 else None
     traces = []
     for dlt in deltas:
         p_i = KerrCatParams(K=params.K, eps2=params.eps2,
                             detuning=params.detuning + float(dlt))
         h = kerr_cat_hamiltonian(p_i, trunc)
-        frame = build_cat_frame(h)
-        rho0 = frame.w_plus.to_density_matrix()
-        res = evolve(rho0, h, bath_jumps, times, {"z": frame.z}, early_stop=stop)
-        traces.append(res.observables["z"])
+        # only a single trial stops early, so every averaged trace has one length
+        traces.append(_pointer_z(h, Ls, build_cat_frame(h), times, noise.trials == 1)[0])
     z_avg = sum(traces) / len(deltas)
     if z_avg[0] - z_avg.min() < LIFETIME_SENTINEL_DROP:
         return math.inf, 0.0
@@ -864,6 +933,9 @@ def lifetime_T_C(params: KerrCatParams, bath_jumps: list, t_max: float,
     (alternating-parity loss rates leave a nonzero steady X). Returns
     (T_C, fit residual RMS); inf when no decay is measurable. The run is
     deterministic.
+
+    |v_e><v_e|, X and the trace all lie in the even relative-parity block
+    of rho, so evolve advances that block alone.
     """
     trunc = _lifetime_truncation(params, trunc)
     h = kerr_cat_hamiltonian(params, trunc)

@@ -10,7 +10,10 @@ class TruncationTooSmall(KerrcatError):
 
 
 class DegenerateCat(KerrcatError):
-    """Cat-state normalization underflows (|alpha| too small for odd parity)."""
+    """No cat of definite parity: the cat-state normalization underflows
+    (|alpha| too small for odd parity), or a Hamiltonian gives no cat frame
+    (it couples even and odd photon numbers, its two highest levels share
+    one parity, or the pointer gauge is undefined)."""
 
 
 class DimMismatch(KerrcatError):

@@ -101,8 +101,35 @@ def test_frame_functionals_reject_raw_arrays(frame4):
         manifold_population(frame, frame.w_plus.amp)
 
 
+@pytest.mark.parametrize("detuning_over_k", [0.0, 2.0])
+@pytest.mark.parametrize("alpha_sq", [0.25, 1.0, 2.0, 10.0, 12.0, 16.0])
+def test_frame_is_parity_exact(alpha_sq, detuning_over_k):
+    # one eigh per parity sector: no weight at all on the other sector, even
+    # where the top pair is degenerate to round-off (detuning 0)
+    p = KerrCatParams(K=K, eps2=alpha_sq * K, detuning=detuning_over_k * K)
+    tr = default_truncation(p.alpha)
+    frame = build_cat_frame(kerr_cat_hamiltonian(p, tr))
+    even_block = np.add.outer(np.arange(tr.dim), np.arange(tr.dim)) % 2 == 0
+    assert not np.any(frame.v_even.amp[1::2])
+    assert not np.any(frame.v_odd.amp[0::2])
+    assert not np.any(frame.z.mat[even_block])
+    assert not np.any(frame.x.mat[~even_block])
+    assert np.any(frame.z.mat) and np.any(frame.x.mat)
+
+
+def test_rejects_a_top_pair_of_one_parity():
+    # a diagonal H has definite parity, but its two highest levels, |2> and
+    # |4>, are both even
+    tr = Truncation(6)
+    h = Operator(np.diag([0.0, 1.0, 5.0, 2.0, 4.0, 3.0]).astype(complex), tr,
+                 hermitian_hint=True)
+    with pytest.raises(DegenerateCat, match="share one photon-number parity"):
+        build_cat_frame(h)
+
+
 def test_rejects_parity_mixed_top_pair():
-    # position operator: top eigenvectors are parity-mixed quadrature states
+    # position operator: it couples even and odd photon numbers, and its top
+    # eigenvectors are parity-mixed quadrature states
     tr = Truncation(24)
     n = np.arange(24)
     q = np.zeros((24, 24))

@@ -589,31 +589,167 @@ def test_cf4_yields_states_that_later_terms_do_not_overwrite(route):
     assert all(not np.shares_memory(a, b) for (a, _), (b, _) in zip(kept, kept[1:]))
 
 
-def test_chebyshev_term_counts_are_pinned():
+def _series_sizes(monkeypatch) -> list:
+    """The number of coordinates of every Chebyshev series run from now on."""
+    sizes, series = [], dynamics._chebyshev_series
+
+    def recording(M, w, v, coef):
+        sizes.append(v.shape[0])
+        return series(M, w, v, coef)
+    monkeypatch.setattr(dynamics, "_chebyshev_series", recording)
+    return sizes
+
+
+def test_chebyshev_term_counts_are_pinned(monkeypatch):
     # the matrix products of three fixed runs: any change to the series that
-    # keeps its polynomial keeps these counts
+    # keeps its polynomial keeps these counts, and so does running a
+    # lifetime in one relative-parity block of rho
+    sizes = _series_sizes(monkeypatch)
     p = KerrCatParams(K=K, eps2=4.0 * K)
     tr = default_truncation(p.alpha)
     jumps = build_full_dissipators(standard_bath().scaled(100.0), default_snail(),
                                    p.eps2, tr)
-    # criterion 4's T_alpha run at alpha^2 = 4 (one trial, early stop)
+    times = np.linspace(0.0, 40.0, 161)
+    # criterion 4's T_alpha run at alpha^2 = 4 (one trial, early stop), on
+    # both blocks from |w+><w+| and on the odd block alone
     noise = DetuningNoise(mean=0.03 * K, std=0.002 * K, trials=1, seed=0)
     h = kerr_cat_hamiltonian(KerrCatParams(K=K, eps2=p.eps2,
                                            detuning=float(noise.draws()[0])), tr)
     frame = build_cat_frame(h)
-    res = evolve(frame.w_plus.to_density_matrix(), h, jumps, np.linspace(0.0, 40.0, 161),
+    res = evolve(frame.w_plus.to_density_matrix(), h, jumps, times,
                  {"z": frame.z}, early_stop=("z", dynamics.LIFETIME_EARLY_STOP))
     assert (res.times.size, res.nsteps, res.nterms) == (30, 319, 63481)
-    # criterion 4's T_C run at alpha^2 = 4
+    assert set(sizes) == {784}
+    sizes.clear()
+    z, nterms = dynamics._pointer_z(h, [j.scaled_matrix() for j in jumps], frame,
+                                    times, stop=True)
+    assert (z.size, nterms) == (30, 63481)
+    assert set(sizes) == {392}
+    sizes.clear()
+    # criterion 4's T_C run at alpha^2 = 4, in the even block
     h = kerr_cat_hamiltonian(p, tr)
     frame = build_cat_frame(h)
     res = evolve(frame.v_even.to_density_matrix(), h, jumps, np.linspace(0.0, 0.4, 121))
     assert (res.nsteps, res.nterms) == (120, 6360)
+    assert set(sizes) == {392}
     # the chevron's design cell, one closed X(pi/2) gate
     sched = x_gate_schedule(XGateSpec(Tg=0.32, delta0=-8.2 * K), p, tr)
     res = evolve_ket(frame.w_plus, sched, np.array([0.0, 0.32]))
     assert (res.nsteps, res.nterms) == (320, 12160)
     assert evolve_ket(frame.w_plus, h, np.array([0.0, 0.32])).nterms == 0
+
+
+def _cross_block_entries(M: scipy.sparse.csr_matrix) -> int:
+    nev = (M.shape[0] + 1) // 2
+    return M[:nev, nev:].count_nonzero() + M[nev:, :nev].count_nonzero()
+
+
+@pytest.mark.parametrize("rate_scale", [1.0, 100.0])
+@pytest.mark.parametrize("detuning_over_k", [0.0, 0.03, 2.0])
+@pytest.mark.parametrize("alpha_sq", [1.0, 4.0, 8.0])
+def test_liouvillian_splits_exactly_by_relative_parity(alpha_sq, detuning_over_k,
+                                                       rate_scale):
+    # every generator of the density-matrix route has definite photon-number
+    # parity, so L_r and the X gate's drive terms (a†² and n) have no
+    # nonzero entry between the even and the odd block
+    p = KerrCatParams(K=K, eps2=alpha_sq * K, detuning=detuning_over_k * K)
+    tr = default_truncation(p.alpha)
+    jumps = build_full_dissipators(standard_bath().scaled(rate_scale),
+                                   default_snail(), p.eps2, tr)
+    Q, Lr, _ = _real_liouvillian(kerr_cat_hamiltonian(p, tr).mat,
+                                 [j.scaled_matrix() for j in jumps])
+    # the even block, i + j even, is the first half of the coordinates
+    q = Q.tocoo()
+    assert np.array_equal(q.row < (tr.dim ** 2 + 1) // 2,
+                          (q.col // tr.dim + q.col % tr.dim) % 2 == 0)
+    assert Lr.nnz > 0 and _cross_block_entries(Lr) == 0
+    a = annihilation(tr).mat
+    for M in (a.conj().T @ a.conj().T, number_operator(tr).mat):
+        for P in (M + M.conj().T, 1j * (M - M.conj().T)):
+            drive = (Q @ (-1j * dynamics._ad(P)) @ Q.conj().T).real
+            assert _cross_block_entries(drive) == 0
+
+
+def test_parity_breaking_jump_advances_both_blocks(monkeypatch):
+    # with a jump a + 1, rho0 = |2><2| in the even block leaks into the odd
+    # one: _cf4 must advance all of x and still match the dense exponential;
+    # with the jump a alone it advances the even block only
+    sizes = _series_sizes(monkeypatch)
+    tr = Truncation(6)
+    a = annihilation(tr)
+    a2 = a.mat @ a.mat
+    h = Operator(-K * a2.conj().T @ a2 + K * (a2 + a2.conj().T)
+                 - 0.3 * K * number_operator(tr).mat, tr, hermitian_hint=True)
+    rho0 = fock_state(2, tr).to_density_matrix()
+    times = np.array([0.0, 0.4, 1.0])
+    odd = (np.add.outer(np.arange(6), np.arange(6)) % 2).astype(bool)
+    for jump, nsize in ((Operator(a.mat + np.eye(6), tr), 36), (a, 18)):
+        jumps = [JumpTerm(jump, 0.7)]
+        sizes.clear()
+        res = evolve(rho0, h, jumps, times)
+        want = (scipy.linalg.expm(liouvillian_matrix(h, jumps) * times[-1])
+                @ rho0.mat.reshape(-1)).reshape(6, 6)
+        assert np.max(np.abs(res.final_state.mat - want)) < 1e-10
+        assert set(sizes) == {nsize}
+        assert (np.max(np.abs(want[odd])) > 1e-3) == (nsize == 36)
+
+
+def test_pointer_lifetime_under_a_parity_breaking_jump_keeps_both_blocks(monkeypatch):
+    # a jump a + 0.3 feeds the even part of |w+><w+| into <Z>: the run must
+    # start from the whole pointer state and match public evolve on it
+    sizes = _series_sizes(monkeypatch)
+    p = KerrCatParams(K=K, eps2=1.0 * K)
+    tr = default_truncation(p.alpha)
+    jumps = [JumpTerm(Operator(annihilation(tr).mat + 0.3 * np.eye(tr.dim), tr), 2.0)]
+    t_alpha, _ = lifetime_T_alpha(p, jumps, None, t_max=4.0, trunc=tr)
+    assert set(sizes) == {tr.dim ** 2}
+    h = kerr_cat_hamiltonian(p, tr)
+    frame = build_cat_frame(h)
+    times = np.linspace(0.0, 4.0, 161)
+    res = evolve(frame.w_plus.to_density_matrix(), h, jumps, times, {"z": frame.z},
+                 early_stop=("z", dynamics.LIFETIME_EARLY_STOP))
+    ref = fit_exponential(res.times, res.observables["z"]).T
+    assert t_alpha == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha_sq", [1.0, 4.0])
+def test_one_block_lifetimes_equal_the_two_block_route(alpha_sq):
+    # T_alpha and T_C from the lifetime functions (one block each) against
+    # the same fits on public evolve runs that advance both blocks
+    p = KerrCatParams(K=K, eps2=alpha_sq * K)
+    tr = default_truncation(p.alpha)
+    jumps = build_full_dissipators(standard_bath().scaled(100.0), default_snail(),
+                                   p.eps2, tr)
+    noise = DetuningNoise(mean=0.03 * K, std=0.002 * K, trials=1, seed=0)
+    t_alpha, _ = lifetime_T_alpha(p, jumps, noise, t_max=40.0, trunc=tr)
+    h = kerr_cat_hamiltonian(KerrCatParams(K=K, eps2=p.eps2,
+                                           detuning=float(noise.draws()[0])), tr)
+    frame = build_cat_frame(h)
+    times = np.linspace(0.0, 40.0, 161)
+    res = evolve(frame.w_plus.to_density_matrix(), h, jumps, times, {"z": frame.z},
+                 early_stop=("z", dynamics.LIFETIME_EARLY_STOP))
+    z, nterms = dynamics._pointer_z(h, [j.scaled_matrix() for j in jumps], frame,
+                                    times, stop=True)
+    assert nterms == res.nterms
+    assert np.max(np.abs(z - res.observables["z"])) < 1e-12
+    ref = fit_exponential(res.times, res.observables["z"]).T
+    assert t_alpha == pytest.approx(ref, rel=1e-9)
+
+    # <X> of |v_e><v_e| from two two-block runs: psi = cos(th) v_e + sin(th) v_o
+    # gives <X>(t) = cos²(th) X_e(t) + sin²(th) X_o(t)
+    t_c, _ = lifetime_T_C(p, jumps, t_max=0.4, trunc=tr)
+    h = kerr_cat_hamiltonian(p, tr)
+    frame = build_cat_frame(h)
+    times = np.linspace(0.0, 0.4, dynamics.LIFETIME_WINDOWS + 1)
+    runs = [evolve(Ket(math.cos(th) * frame.v_even.amp + math.sin(th) * frame.v_odd.amp,
+                       tr).to_density_matrix(), h, jumps, times, {"x": frame.x})
+            for th in (math.pi / 6, math.pi / 3)]
+    x_even = (3.0 * runs[0].observables["x"] - runs[1].observables["x"]) / 2.0
+    one = evolve(frame.v_even.to_density_matrix(), h, jumps, times, {"x": frame.x})
+    assert runs[0].nterms == runs[1].nterms == one.nterms
+    assert np.max(np.abs(x_even - one.observables["x"])) < 1e-12
+    ref = fit_exponential(times, x_even, with_offset=True).T
+    assert t_c == pytest.approx(ref, rel=1e-9)
 
 
 @settings(deadline=None, max_examples=25)
