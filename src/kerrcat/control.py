@@ -9,7 +9,8 @@ Every protocol runs through the two evolution entry points of
 :mod:`kerrcat.dynamics`: ``evolve_ket`` for kets (exact under a constant
 Hamiltonian, CF4 on the envelope grid of a schedule) and ``evolve`` for
 density matrices (CF4 in real arithmetic). The gate chevron calls the CF4
-integrator directly, to advance a block of kets on one shared envelope grid.
+integrator directly, to advance every cell as one block of kets, a column
+group per gate time on its own envelope grid.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .catframe import CatFrame, build_cat_frame
 from .dynamics import EvolutionResult, Schedule, _cf4, evolve, evolve_ket
@@ -140,25 +140,26 @@ def chevron_map(params: KerrCatParams, trunc: Truncation, tg_grid, delta0_over_k
     """Transfer probability over (Tg, delta0/K); rows index delta0, columns Tg.
 
     Each cell equals x_gate_transfer. The gate envelope is linear in delta0,
-    so each Tg column integrates all delta0 at once as one block of kets on
-    a shared envelope grid.
+    and every Tg has its own envelope grid, so each gate advances every cell
+    at once, as one block of kets in one CF4 run: a column group of all
+    delta0 per Tg, each on its own grid (see _cf4).
     """
     frame = build_cat_frame(kerr_cat_hamiltonian(params, trunc))
     tg_grid = np.asarray(tg_grid, float)
     d0_grid = np.asarray(delta0_over_k_grid, float)
-    out = np.empty((d0_grid.size, tg_grid.size))
-    start = np.repeat(frame.w_plus.amp[:, None], d0_grid.size, axis=1)
-    for j, tg in enumerate(tg_grid):
-        times = np.array([0.0, tg])
+    groups = []
+    for tg in tg_grid:
         sched = x_gate_schedule(XGateSpec(Tg=float(tg), delta0=params.K), params, trunc)
         (unit_env, _), = sched.envelopes
-        envs = (d0_grid[:, None] * unit_env)[None]
-        psi = start
-        for _ in range(n_gates):
-            psi = next(_cf4(sched, times, psi, envs=envs))[0]
-            psi = psi / np.linalg.norm(psi, axis=0)
-        out[:, j] = np.abs(frame.w_minus.amp.conj() @ psi) ** 2
-    return out
+        groups.append((sched, np.array([0.0, tg]), [np.outer(d0_grid, unit_env.real)]))
+    # column j * d0_grid.size + i is the cell (delta0_i, Tg_j)
+    psi = np.repeat(frame.w_plus.amp[:, None], tg_grid.size * d0_grid.size, axis=1)
+    for _ in range(n_gates if psi.size else 0):
+        ends = {g: state for g, state, _, _ in _cf4(groups, psi)}
+        psi = np.concatenate([ends[g] for g in range(len(groups))], axis=1)
+        psi = psi / np.linalg.norm(psi, axis=0)
+    transfer = np.abs(frame.w_minus.amp.conj() @ psi) ** 2
+    return transfer.reshape(tg_grid.size, d0_grid.size).T
 
 
 def count_transfer_lobes(transfer: np.ndarray, threshold: float = 0.5) -> int:
@@ -220,7 +221,9 @@ def simulate_z_rotation(params: KerrCatParams, omega_z: float, theta_z: float,
 def rabi_frequency(times: np.ndarray, signal: np.ndarray) -> float:
     """Angular oscillation frequency of a sampled sinusoid: frequency and
     phase seeded from the FFT peak bin, then least-squares sinusoid
-    refinement."""
+    refinement with the analytic Jacobian (a finite-difference one moved
+    the rate by ~4e-9 relative under round-off in the signal)."""
+    from scipy.optimize import curve_fit  # on first use, as in fit_exponential
     times = np.asarray(times, float)
     signal = np.asarray(signal, float)
     y = signal - signal.mean()
@@ -235,11 +238,15 @@ def rabi_frequency(times: np.ndarray, signal: np.ndarray) -> float:
     def model(t, amp, om, ph, c):
         return amp * np.sin(om * t + ph) + c
 
+    def jac(t, amp, om, ph, c):  # d/d(amp, om, ph, c) of model
+        s, co = np.sin(om * t + ph), amp * np.cos(om * t + ph)
+        return np.stack([s, t * co, co, np.ones_like(t)], axis=1)
+
     try:
         p, _ = curve_fit(model, times, signal,
                          p0=[0.5 * (signal.max() - signal.min()),
                              max(om0, 1e-3), ph0, signal.mean()],
-                         maxfev=20000)
+                         jac=jac, maxfev=20000)
         return float(abs(p[1]))
     except RuntimeError:
         return om0

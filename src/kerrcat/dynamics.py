@@ -8,7 +8,8 @@ angular (rad/us). Each class of problem has one route:
 * a ket under a schedule with envelopes is integrated by the fourth-order
   commutator-free exponential scheme CF4 on the envelope grid, each
   exponential a Chebyshev series (:func:`_cf4`, which also advances a block
-  of kets at once for the gate chevron);
+  of kets in column groups on envelope grids of their own, the whole gate
+  chevron at once);
 * a density matrix, under a constant Hamiltonian or a schedule, is
   integrated by the same CF4 scheme in real arithmetic, on the coordinates
   of rho in an orthonormal Hermitian basis where the sparse Liouvillian L is
@@ -32,7 +33,6 @@ from functools import partial
 import numpy as np
 from scipy import sparse
 from scipy.linalg.blas import daxpy, dgemm, zaxpy
-from scipy.optimize import curve_fit
 # y += A x in C for a CSR A: private, but its signature has held for many
 # scipy releases, and A @ x wraps it in ~3 us of Python dispatch per call
 from scipy.sparse._sparsetools import csr_matvec
@@ -62,6 +62,10 @@ SPAN_RTOL = 1e-9
 CF4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 CF4_MIX = np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0],
                     [0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0]])
+# CF4 steps whose weights are held at once: a gate chevron's block of kets
+# would otherwise hold them for every step and column at once (~8 MB for
+# the registry grid)
+CF4_WEIGHT_BLOCK = 64
 FIT_FLOOR = 0.05
 LIFETIME_SENTINEL_DROP = 0.02
 # A single-trial T_alpha run stops sampling once <Z> falls below this.
@@ -341,16 +345,20 @@ def _bessel_weights(x: float) -> np.ndarray:
 def _chebyshev_series(M, w: np.ndarray, v: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_k coef[k] P_k v for the block v (n x nb) and A = sum_q w[q] M_q,
     given M = [M_0 | M_1 | ... | M_Q], Q + 1 real n x n matrices side by
-    side, and w ((Q+1) x nb) the weights of each column of v, w[0] = 1.
-    P_0 = 1, P_1 = A/2 and P_{k+1} = A P_k + P_{k-1} for a CSR M and a real
-    v (P_k = (-i)^k T_k(iA/2), real for a real A), A P_k - P_{k-1} for a
+    side, and w ((Q+1) x nb) the weights of each column of v (w[0] is 1
+    except for a column that takes a shorter interval than the series is
+    for; see _cf4). P_0 = 1, P_1 = A/2 and
+    P_{k+1} = A P_k + P_{k-1} for a CSR M and a real v
+    (P_k = (-i)^k T_k(iA/2), real for a real A), A P_k - P_{k-1} for a
     dense M and a complex v (P_k = T_k(A/2)).
 
     Each term is one multiply-accumulate written over the older of two
-    rotating buffers, t_{k+1} = M U_k +- t_{k-1}, where U_k = (t_k,
+    rotating buffers, t_{k+1} = M U_k +- t_{k-1}, where U_k = (w[0] t_k,
     w[1] t_k, ..., w[Q] t_k) is filled in place by one broadcast multiply
-    (U_k is t_k itself when Q = 0), and the sum gains coef[k] t_k by one
-    BLAS axpy; no array is allocated per term. A CSR M goes through
+    and the sum gains coef[k] t_k by one BLAS axpy; no array is allocated
+    per term. Where w[0] = 1, U_k starts with t_k itself (and is t_k alone
+    when Q = 0, with no multiply); otherwise w[0] t_k takes a slot of its
+    own beside t_k. A CSR M goes through
     csr_matvec, scipy's C kernel for y += M x: M @ x reaches the same
     kernel only after about 3 us of Python dispatch, as long as the product
     itself at dim 18. A dense M goes through BLAS dgemm with beta = -1 on the
@@ -358,27 +366,31 @@ def _chebyshev_series(M, w: np.ndarray, v: np.ndarray, coef: np.ndarray) -> np.n
     interleaved), passed transposed so that the C-ordered arrays reach BLAS
     as Fortran ones, uncopied. v is read, never written.
     """
-    # two rotating buffers, each U = (t, w[1] t, ..., w[Q] t); every view
-    # below shares their memory
-    bufs = np.zeros((2, len(w)) + v.shape, complex if isinstance(M, np.ndarray) else float)
-    ts, rest = [bufs[0, 0], bufs[1, 0]], [bufs[0, 1:], bufs[1, 1:]]
+    # two rotating buffers, each (t, U) with U = (w[0] t, ..., w[Q] t) and,
+    # where w[0] = 1, U[0] = t itself; every view below shares their memory
+    lead = int(np.any(w[0] != 1.0))
+    bufs = np.zeros((2, len(w) + lead) + v.shape,
+                    complex if isinstance(M, np.ndarray) else float)
+    ts, us = [bufs[0, 0], bufs[1, 0]], [bufs[0, lead:], bufs[1, lead:]]
     flat = [t.reshape(-1) for t in ts]
     if sparse.issparse(M):  # y += M x
         if M.shape != (v.size, len(w) * v.size):  # csr_matvec checks no bounds
             raise ValueError(f"CSR stack of shape {M.shape} for {len(w)} x {v.size} blocks")
         muladd = partial(csr_matvec, M.shape[0], M.shape[1], M.indptr, M.indices, M.data)
-        xs, ys, axpy = [b.reshape(-1) for b in bufs], flat, daxpy
+        xs, ys, axpy = [u.reshape(-1) for u in us], flat, daxpy
     else:  # y = M x - y, transposed: the C-ordered views read as Fortran ones
         def muladd(x, y, MT=M.T):
             dgemm(1.0, x, MT, -1.0, y, 0, 0, 1)
-        xs = [b.reshape(-1, v.shape[1]).view(float).T for b in bufs]
+        xs = [u.reshape(-1, v.shape[1]).view(float).T for u in us]
         ys, axpy = [t.view(float).T for t in ts], zaxpy
     ts[0][...] = v
-    acc, wq, fill = coef[0] * flat[0], w[1:, None], len(w) > 1
+    # the slots of U that need a multiply, and their weights
+    wq, fill = w[1 - lead:, None], [u[1 - lead:] for u in us]
+    acc = coef[0] * flat[0]
     for k, c in enumerate(coef[1:]):
         new, old = k & 1, 1 - (k & 1)  # t_{k+1} is written over t_{k-1}
-        if fill:
-            np.multiply(wq, ts[new], out=rest[new])
+        if wq.size:
+            np.multiply(wq, ts[new], out=fill[new])
         muladd(xs[new], ys[old])
         if not k:  # P_1 = A/2
             ts[1] *= 0.5
@@ -444,28 +456,31 @@ def _real_liouvillian(H: np.ndarray, Ls: list):
     return Q, Lr, d
 
 
-def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = None,
-         envs=None):
-    """Advance y through sched with the fourth-order commutator-free
-    exponential integrator CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519
-    (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), yielding
-    (state, intervals taken so far, matrix products taken so far) at every
-    sample time after the first. Each yielded state is an array of its own.
+def _cf4(groups: list, y: np.ndarray, Ls: list | None = None):
+    """Advance y with the fourth-order commutator-free exponential
+    integrator CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006);
+    Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), yielding
+    (group, state, intervals taken so far, matrix products taken so far) for
+    every group at every one of its sample times after the first. Each
+    yielded state is an array of its own.
 
-    With Ls None, y is a block of kets (dim x nb) under
-    H_b(t) = h0 + sum_e c_eb(t) M_e + c_eb*(t) M_e†: every column shares h0,
-    the envelope operators M_e and the envelope grid of sched, and envs[e]
-    (nb x nsamp) holds each column's own samples of envelope e (by default
-    the schedule's, for one column). Otherwise y is row-major vec(rho), 1-d,
-    under L(t) = -i[H(t), .] + D, D the dissipator of the sqrt(rate)-scaled
-    jump matrices Ls; CF4 holds for any linear y' = A(t) y. The run is in
-    real arithmetic on x = (Q vec(rho)).real, the coordinates of rho in the
-    Hermitian basis of _real_liouvillian, so it evolves the Hermitian part
-    of rho and yields the Hermitian vec(rho) = Q† x.
+    groups is a list of (sched, times, envs). With Ls None, y is a block of
+    kets (dim x nb) and each group is a run of its columns, in order, under
+    H_b(t) = h0 + sum_e c_eb(t) M_e + c_eb*(t) M_e†: every group shares h0
+    and the envelope operators M_e, and has its own envelope grid (its
+    sched) and sample times; envs[e] (columns x nsamp) holds each of its
+    columns' own samples of envelope e (None: the schedule's, for every
+    column; then y is one group). Otherwise y is row-major vec(rho), 1-d and
+    one group, under L(t) = -i[H(t), .] + D, D the dissipator of the
+    sqrt(rate)-scaled jump matrices Ls; CF4 holds for any linear
+    y' = A(t) y. The run is in real arithmetic on x = (Q vec(rho)).real, the
+    coordinates of rho in the Hermitian basis of _real_liouvillian, so it
+    evolves the Hermitian part of rho and yields the Hermitian
+    vec(rho) = Q† x.
 
-    The intervals are those of the envelope grid, cut at every sample time,
-    so the envelope is linear on each. An interval of length h is
-    exp(-i h G(w2)) exp(-i h G(w1)), G(w) = G0 + sum_e (w_e M_e + h.c.),
+    The intervals of a group are those of its envelope grid, cut at every
+    sample time, so the envelope is linear on each. An interval of length h
+    is exp(-i h G(w2)) exp(-i h G(w1)), G(w) = G0 + sum_e (w_e M_e + h.c.),
     with w1 = a1 c1 + a2 c2, w2 = a2 c1 + a1 c2, a1,2 = 1/4 ± sqrt(3)/6 and
     c1, c2 the envelope at the Gauss points 1/2 ∓ sqrt(3)/6 of the interval;
     its error is fifth order in h. G0 = h0/2 for kets. For rho,
@@ -483,13 +498,24 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     Each exponential is a Chebyshev series (_chebyshev_series) about the
     center of the spectrum of G0 (0 for rho), with a radius taken once per
     call: the half-width of that spectrum, (range of h0)/(2 nexp) for kets
-    and (range of h0 + d)/nexp for rho, plus max |weight| times the row-sum
-    norm of each Hermitian drive term (of ad P for rho). For kets the series
-    is in T_k((G - center)/radius) with weights e^{-i h center} (-i)^k J_k;
-    for rho it is the real recurrence P_{k+1} = A P_k + P_{k-1} in the real
-    exponent, with real weights J_k. An exponential costs about
-    h * radius matrix-vector products; the Bessel weights are computed once
-    per distinct interval length. h0 must be Hermitian.
+    and (range of h0 + d)/nexp for rho, plus max |weight| over all columns
+    times the row-sum norm of each Hermitian drive term (of ad P for rho).
+    For kets the series is in T_k((G - center)/radius) with weights
+    e^{-i h center} (-i)^k J_k; for rho it is the real recurrence
+    P_{k+1} = A P_k + P_{k-1} in the real exponent, with real weights J_k.
+    An exponential costs about h * radius matrix-vector products; the
+    Bessel weights are computed once per distinct interval length. h0 must
+    be Hermitian.
+
+    Every group advances in one loop, the whole block at once: step k takes
+    each group on by its own k-th interval h_b, through one series for the
+    longest of them, h. A column of a shorter interval has every term, G0
+    included, weighted by h_b/h, for exp(-i h (h_b/h) G) = exp(-i h_b G);
+    the phase e^{-i (h - h_b) center} that the series weights add to it is
+    taken out when its state is yielded. The groups run longest first
+    (stable in their order otherwise), so the columns still running are a
+    prefix of the block, and a group that has ended drops out of the series
+    that follow.
 
     Both routes apply real matrices only. For kets each term K of G (G0 and
     each Hermitian drive term) is split into Re K and Im K, the latter a
@@ -512,12 +538,20 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
     radius, the damping bound and the Bessel weights stay those of the whole
     generator, so the series and nterms are unchanged.
 
-    Raises NonFiniteState, naming the start of the interval, when the
-    spectral bound or the state is not finite.
+    Raises ValueError for groups that do not share h0 and the envelope
+    operators or do not add up to the columns of y, and NonFiniteState,
+    naming the start of the interval, when the spectral bound or the state
+    is not finite.
     """
-    sched.check_span(times)
-    if envs is None:
-        envs = [env[None] for env, _ in sched.envelopes]
+    sched = groups[0][0]
+    if len(groups) > 1 and (Ls is not None or not sched.envelopes):
+        raise ValueError("only a ket block under envelopes splits into column groups")
+    for other, _, _ in groups[1:]:
+        if not (np.array_equal(other.h0.mat, sched.h0.mat)
+                and len(other.envelopes) == len(sched.envelopes)
+                and all(np.array_equal(a.mat, b.mat) for (_, a), (_, b)
+                        in zip(other.envelopes, sched.envelopes))):
+            raise ValueError("column groups must share h0 and the envelope operators")
     nexp = 2 if sched.envelopes else 1
     H0 = sched.h0.mat
     lam = np.linalg.eigvalsh(H0)
@@ -533,51 +567,103 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
         mats = [Lr / nexp]
         y = (Q @ y).real[:, None]
 
-    tol = SPAN_RTOL * sched.dt
-    grid = sched.t0 + sched.dt * np.arange(max((env.size for env, _ in sched.envelopes),
-                                               default=0))
-    inner = grid[(grid > times[0] + tol) & (grid < times[-1] - tol)]
-    j = np.searchsorted(times, inner)
-    inner = inner[np.minimum(inner - times[j - 1], times[j] - inner) > tol]
-    cuts = np.union1d(times, inner)
-    # damping substeps: interval m becomes nsub[m] equal intervals
-    nsub = np.maximum(1, np.ceil(np.diff(cuts) * damping / CHEB_DAMPING_STEP)).astype(int)
-    steps = np.repeat(np.diff(cuts) / nsub, nsub)
-    part = np.arange(steps.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
-    starts = np.repeat(cuts[:-1], nsub) + part * steps
-    done = np.cumsum(nsub)[np.searchsorted(cuts, times[1:]) - 1]
+    # each group's intervals: its envelope grid cut at its sample times, and
+    # the interval count at each of its samples after the first
+    runs = []
+    for s, times, envs in groups:
+        s.check_span(times)
+        tol = SPAN_RTOL * s.dt
+        grid = s.t0 + s.dt * np.arange(max((env.size for env, _ in s.envelopes),
+                                           default=0))
+        inner = grid[(grid > times[0] + tol) & (grid < times[-1] - tol)]
+        j = np.searchsorted(times, inner)
+        inner = inner[np.minimum(inner - times[j - 1], times[j] - inner) > tol]
+        cuts = np.union1d(times, inner)
+        # damping substeps: interval m becomes nsub[m] equal intervals
+        nsub = np.maximum(1, np.ceil(np.diff(cuts) * damping / CHEB_DAMPING_STEP)).astype(int)
+        steps = np.repeat(np.diff(cuts) / nsub, nsub)
+        part = np.arange(steps.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+        starts = np.repeat(cuts[:-1], nsub) + part * steps
+        done = np.cumsum(nsub)[np.searchsorted(cuts, times[1:]) - 1]
+        envs = [env[None] for env, _ in s.envelopes] if envs is None else envs
+        runs.append((s, steps, starts, done, envs))
+    width = [len(r[4][0]) for r in runs] if len(runs) > 1 else [y.shape[1]]
+    if sum(width) != y.shape[1]:
+        raise ValueError(f"column groups of {sum(width)} columns for a block of {y.shape[1]}")
+    order = sorted(range(len(runs)), key=lambda g: -runs[g][1].size)
+    if order != sorted(order):
+        first = np.cumsum([0] + width)
+        y = y[:, np.concatenate([np.arange(first[g], first[g + 1]) for g in order])]
+    runs = [runs[g] for g in order]
+    edge = np.cumsum([0] + [width[g] for g in order])  # group p: columns edge[p]:edge[p+1]
+    # the series of step k is for the longest interval h[k] of the groups
+    # still running; each column's terms are weighted by its own over that
+    h = np.zeros(runs[0][1].size)
+    for _, steps, _, _, _ in runs:
+        np.maximum(h[:steps.size], steps, out=h[:steps.size])
 
     # w M + w* M† = Re(w) (M + M†) + Im(w) i(M - M†): Hermitian terms with
-    # real weights (nb x interval x exponential). For kets every term K,
-    # G0 included, is split into Re K and Im K, the latter weighted by i, so
-    # the stack is real. A term whose operator or weights vanish is dropped.
-    weights = [np.ones((1, steps.size, nexp))]
-
-    def add(mat, wt):
-        if np.any(mat) and np.any(wt):
-            mats.append(mat)
-            weights.append(wt)
-
-    if Ls is None:
-        add(G0.imag, np.full((1, steps.size, nexp), 1j))
+    # real weights. For kets every term K, G0 included, is split into Re K
+    # and Im K, the latter weighted by i, so the stack is real. A term whose
+    # operator or envelope samples vanish is dropped. Each stacked term
+    # takes its weights from an envelope's real or imaginary part (none for
+    # G0) times a factor 1 or i.
+    source = [(None, None, 1.0)]  # (envelope, np.real or np.imag, factor)
+    if Ls is None and np.any(G0.imag):
+        mats.append(G0.imag)
+        source.append((None, None, 1j))
+    drive = []  # (envelope, np.real or np.imag, row-sum norm) of each drive term
     for e, (_, op) in enumerate(sched.envelopes):
-        x = (starts[:, None] + steps[:, None] * CF4_NODES - sched.t0) / sched.dt
-        i = np.minimum(x.astype(int), envs[e].shape[-1] - 2)
-        f = x - i
-        w = (envs[e][:, i] * (1.0 - f) + envs[e][:, i + 1] * f) @ CF4_MIX
         M = op.mat
-        for mat, wt in ((M + M.conj().T, w.real), (1j * (M - M.conj().T), w.imag)):
-            if np.any(mat) and np.any(wt):
+        for mat, take in ((M + M.conj().T, np.real), (1j * (M - M.conj().T), np.imag)):
+            if np.any(mat) and any(np.any(take(r[4][e])) for r in runs):
                 g = mat if Ls is None else _ad(mat)
-                radius += float(np.max(np.abs(wt))) * float(abs(g).sum(axis=1).max())
+                drive.append((e, take, float(abs(g).sum(axis=1).max())))
                 if Ls is None:
-                    add(mat.real, wt)
-                    add(mat.imag, 1j * wt)
+                    for m, fac in ((mat.real, 1.0), (mat.imag, 1j)):
+                        if np.any(m):
+                            mats.append(m)
+                            source.append((e, take, fac))
                 else:
                     mats.append((Q @ (-1j * g) @ Qh).real)
-                    weights.append(wt)
+                    source.append((e, take, 1.0))
+    dtype = complex if any(fac == 1j for _, _, fac in source) else float
+
+    def weights(p, k0, k1):
+        """Each envelope's weights for the columns of group p in its
+        intervals k0:k1 (columns x intervals x exponentials)."""
+        s, steps, starts, _, envs = runs[p]
+        x = (starts[k0:k1, None] + steps[k0:k1, None] * CF4_NODES - s.t0) / s.dt
+        w = []
+        for env in envs:
+            i = np.minimum(x.astype(int), env.shape[-1] - 2)
+            f = x - i
+            w.append((env[:, i] * (1.0 - f) + env[:, i + 1] * f) @ CF4_MIX)
+        return w
+
+    def block(k0, live):
+        """W[:, k - k0, e, b], the weights of the stacked terms in exponential
+        e of step k for column b, over CF4_WEIGHT_BLOCK steps from k0 and the
+        columns of the first live groups (unused past the end of b's group)."""
+        k1 = min(k0 + CF4_WEIGHT_BLOCK, h.size)
+        W = np.empty((len(mats), k1 - k0, nexp, edge[live]), dtype)
+        for p in range(live):
+            steps = runs[p][1][k0:k1]
+            n, cols = steps.size, slice(edge[p], edge[p + 1])
+            scale = steps / h[k0:k0 + n]
+            w = weights(p, k0, k0 + n)
+            for t, (e, take, fac) in enumerate(source):
+                W[t, :n, :, cols] = (fac * scale[:, None, None] if e is None else
+                                     np.moveaxis(fac * take(w[e]) * scale[:, None], 0, -1))
+        return W
+
+    # each drive term adds its largest weight over all columns
+    for e, take, norm in drive:
+        radius += max(float(np.max(np.abs(take(weights(p, 0, None)[e]))))
+                      for p in range(len(runs))) * norm
+    start0 = runs[0][2]
     if not math.isfinite(radius):
-        raise NonFiniteState(f"non-finite spectral bound at t = {starts[0]:.4g} us")
+        raise NonFiniteState(f"non-finite spectral bound at t = {start0[0]:.4g} us")
     if radius == 0.0:  # zero generator: any positive scale gives the identity
         radius = 1.0
     if Ls is not None:  # advance one relative-parity block where that is exact
@@ -587,27 +673,37 @@ def _cf4(sched: Schedule, times: np.ndarray, y: np.ndarray, Ls: list | None = No
                 mats, y, Qh = [m[b, b] for m in mats], y[b], Qh[:, b]
                 break
     # A = 2 (G - center) / radius for kets, 2 B / radius for the real exponent
-    # h B of rho; W[:, k, e] weighs the stacked terms in exponential e of
-    # piece k, per column
+    # h B of rho
     stack = (2.0 / radius) * (np.concatenate(mats, axis=1) if Ls is None
                               else sparse.hstack(mats, format="csr"))
-    W = np.stack(np.broadcast_arrays(*(np.moveaxis(wt, 0, -1) for wt in weights)))
+    # the yields, in step order, and the phase each column of a group lags by
+    events = sorted((k, p) for p, run in enumerate(runs) for k in run[3])
+    lag = [nexp * np.cumsum(h[:steps.size] - steps) for _, steps, _, _, _ in runs]
 
     nxt = nterms = 0
+    live = len(runs)
     coefs: dict = {}
-    for k, h in enumerate(steps):
-        if h not in coefs:
-            w = _bessel_weights(h * radius)
-            coefs[h] = (np.exp(-1j * h * center) * (-1j) ** np.arange(w.size) * w
-                        if Ls is None else w)
-        coef = coefs[h]
+    for k, hk in enumerate(h):
+        while runs[live - 1][1].size <= k:  # a group has ended: drop its columns
+            live -= 1
+        if k % CF4_WEIGHT_BLOCK == 0:
+            W = block(k, live)
+        if hk not in coefs:
+            c = _bessel_weights(hk * radius)
+            coefs[hk] = (np.exp(-1j * hk * center) * (-1j) ** np.arange(c.size) * c
+                         if Ls is None else c)
+        coef = coefs[hk]
         for e in range(nexp):
-            y = _chebyshev_series(stack, W[:, k, e], y, coef)
+            y = _chebyshev_series(stack, W[:, k % CF4_WEIGHT_BLOCK, e, :edge[live]],
+                                  y[:, :edge[live]], coef)
         nterms += nexp * (coef.size - 1)
         if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"non-finite state at t = {starts[k]:.4g} us")
-        if done[nxt] == k + 1:
-            yield (y if Ls is None else Qh @ y[:, 0]), k + 1, nterms
+            raise NonFiniteState(f"non-finite state at t = {start0[k]:.4g} us")
+        while nxt < len(events) and events[nxt][0] == k + 1:
+            p = events[nxt][1]
+            state = y[:, edge[p]:edge[p + 1]]
+            state = state * np.exp(1j * center * lag[p][k]) if lag[p][k] else state.copy()
+            yield order[p], (state if Ls is None else Qh @ state[:, 0]), k + 1, nterms
             nxt += 1
 
 
@@ -659,7 +755,7 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     sched, times, observables = _checked_inputs(h, t_span, rho0.dim, observables)
     dim = rho0.dim
     r = rho0.mat.astype(np.complex128)
-    states = _cf4(sched, times, r.reshape(-1), _jump_matrices(jumps, dim))
+    states = _cf4([(sched, times, None)], r.reshape(-1), _jump_matrices(jumps, dim))
 
     series: dict = {name: [] for name in observables}
     total_steps = total_terms = 0
@@ -672,7 +768,7 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
 
     sample(r)
     stop_name, stop_thresh = early_stop if early_stop else (None, None)
-    for v, total_steps, total_terms in states:
+    for _, v, total_steps, total_terms in states:
         r = v.reshape(dim, dim)
         sample(r)
         kept += 1
@@ -722,9 +818,9 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> Evoluti
         psis = (phases * (V.conj().T @ psi)) @ V.T  # row j is psi(times[j])
         total_steps = total_terms = 0
     else:
-        out = list(_cf4(sched, times, psi[:, None]))
-        psis = np.array([psi] + [state[:, 0] for state, _, _ in out])
-        _, total_steps, total_terms = out[-1]
+        out = list(_cf4([(sched, times, None)], psi[:, None]))
+        psis = np.array([psi] + [state[:, 0] for _, state, _, _ in out])
+        _, _, total_steps, total_terms = out[-1]
     series = {name: np.real(np.sum(psis.conj() * (psis @ op.mat.T), axis=1))
               for name, op in observables.items()}
 
@@ -796,6 +892,8 @@ def fit_exponential(t: np.ndarray, y: np.ndarray,
         raise FitDiverged(f"non-decaying signal (log-slope {slope:.3g} >= 0)")
     T0, A0 = -1.0 / slope, math.exp(intercept)
     fell_back = False
+    # on first use: scipy.optimize adds ~80 ms to importing kerrcat
+    from scipy.optimize import curve_fit
 
     def jac(tt, a, T, *c):  # d/d(a, T[, c]) of a exp(-t/T) [+ c]
         e = np.exp(-tt / T)
@@ -884,7 +982,7 @@ def _pointer_z(h: Operator, Ls: list, frame, times: np.ndarray,
     else:
         y = np.outer(frame.w_plus.amp, frame.w_plus.amp.conj()).reshape(-1)
     trace, nterms = [float(np.real(zt @ y))], 0
-    for v, _, nterms in _cf4(Schedule(h0=h), times, y, Ls):
+    for _, v, _, nterms in _cf4([(Schedule(h0=h), times, None)], y, Ls):
         trace.append(float(np.real(zt @ v)))
         if stop and trace[-1] < LIFETIME_EARLY_STOP:
             break

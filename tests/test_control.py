@@ -134,14 +134,21 @@ def test_simulate_x_gate_density_matrix_equals_ket_route(cat4):
 
 
 def test_chevron_map_equals_per_cell_transfer(cat4):
+    # Tg = 0.30 gets 302 samples at dt = 0.99668 ns (a rounding of
+    # ceil(Tg / SAMPLE_PERIOD)), so its columns take shorter intervals than
+    # the others in the same series; the grid is unsorted, with a repeat
     params, trunc = cat4
-    tgs = np.array([0.12, 0.25, 0.32])
+    tgs = np.array([0.25, 0.12, 0.30000000000000004, 0.32, 0.25])
     d0s = np.array([-12.3, -8.2, -2.5, 0.0])
-    grid = chevron_map(params, trunc, tgs, d0s, n_gates=2)
+    assert x_gate_schedule(XGateSpec(Tg=tgs[2], delta0=K), params,
+                           trunc).envelopes[0][0].size == 302
     frame = build_cat_frame(kerr_cat_hamiltonian(params, trunc))
-    cells = np.array([[x_gate_transfer(XGateSpec(Tg=tg, delta0=d0 * K), params,
-                                       trunc, 2, frame) for tg in tgs] for d0 in d0s])
-    assert np.max(np.abs(grid - cells)) < 1e-10
+    for n_gates in (1, 2, 3):
+        grid = chevron_map(params, trunc, tgs, d0s, n_gates=n_gates)
+        cells = np.array([[x_gate_transfer(XGateSpec(Tg=tg, delta0=d0 * K), params,
+                                           trunc, n_gates, frame) for tg in tgs]
+                          for d0 in d0s])
+        assert np.max(np.abs(grid - cells)) < 1e-10, n_gates
 
 
 def test_gate_is_invariant_under_the_phase_of_eps2(cat4):
@@ -316,6 +323,19 @@ def test_rabi_frequency_recovers_sinusoid(omega, phase, offset, amp):
     t = np.linspace(0.0, 10.0, 2001)
     y = amp * np.sin(omega * t + phase) + offset
     assert rabi_frequency(t, y) == pytest.approx(omega, rel=1e-6)
+
+
+def test_rabi_frequency_is_stable_under_round_off():
+    # with the analytic Jacobian a 1e-13 change of a trace that the sinusoid
+    # does not fit exactly moves the fitted rate at round-off level only; a
+    # finite-difference one moved it by 5e-11 here
+    t = np.linspace(0.0, 10.0, 1001)
+    rng = np.random.default_rng(3)
+    y = (0.4 * np.sin(4.0 * t + 0.3) + 0.1 + 0.02 * np.sin(9.1 * t)
+         + 0.01 * rng.standard_normal(t.size))
+    bump = 1e-13 * rng.standard_normal(t.size)
+    base = rabi_frequency(t, y)
+    assert abs(rabi_frequency(t, y + bump) / base - 1.0) < 1e-11
 
 
 def test_cat_size_from_rabi():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 from scipy.integrate import solve_ivp
 from hypothesis import assume, given, settings
@@ -496,8 +497,8 @@ def test_cf4_ket_block_layout_leaves_result_and_input_unchanged(layout):
         assert np.array_equal(y, block)
     assert not y.flags.c_contiguous
     kept = y.copy()
-    want = [s for s, _, _ in dynamics._cf4(sched, times, block)]
-    got = [s for s, _, _ in dynamics._cf4(sched, times, y)]
+    want = [s for _, s, _, _ in dynamics._cf4([(sched, times, None)], block)]
+    got = [s for _, s, _, _ in dynamics._cf4([(sched, times, None)], y)]
     assert np.array_equal(y, kept)
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-14
 
@@ -520,12 +521,14 @@ def _plain_series(A, v, coef, sign):
 @given(route=st.sampled_from(["rho", "ket"]), n=st.integers(2, 40),
        nq=st.integers(1, 3), nb=st.integers(1, 4), nterms=st.integers(2, 40),
        layout=st.sampled_from(["C", "fortran", "sliced"]),
-       seed=st.integers(0, 2**32 - 1))
+       scaled=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_chebyshev_series_matches_plain_recurrence(route, n, nq, nb, nterms, layout,
-                                                   seed):
+                                                   scaled, seed):
     # each term of _chebyshev_series is one in-place multiply-accumulate
     # (csr_matvec for a CSR stack, dgemm for a dense one); it must sum the
-    # same polynomial as the plain recurrence, and leave v as it was
+    # same polynomial as the plain recurrence, and leave v as it was. w[0]
+    # is 1, or a weight of each column of its own (a column that takes a
+    # shorter interval than the series is for)
     rng = np.random.default_rng(seed)
     blocks = [scipy.sparse.random(n, n, density=min(1.0, 4.0 / n), random_state=rng)
               .toarray() * rng.normal() for _ in range(nq)]
@@ -542,7 +545,7 @@ def test_chebyshev_series_matches_plain_recurrence(route, n, nq, nb, nterms, lay
         v = rng.normal(size=(n, nb)) + 1j * rng.normal(size=(n, nb))
         w = rng.normal(size=(nq, nb)) + 1j * rng.normal(size=(nq, nb))
         coef = rng.normal(size=nterms) + 1j * rng.normal(size=nterms)
-    w[0] = 1.0
+    w[0] = rng.uniform(0.5, 1.0, nb) if scaled else 1.0
     if layout == "fortran":
         v = np.asfortranarray(v)
     elif layout == "sliced":
@@ -581,12 +584,48 @@ def test_cf4_yields_states_that_later_terms_do_not_overwrite(route):
         y, Ls = np.eye(dim, dtype=complex).reshape(-1) / dim, [annihilation(tr).mat]
     else:
         y, Ls = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)), None
-    states = dynamics._cf4(sched, times, y, Ls)
-    kept = [(s, s.copy()) for s, _, _ in states]
+    states = dynamics._cf4([(sched, times, None)], y, Ls)
+    kept = [(s, s.copy()) for _, s, _, _ in states]
     assert len(kept) == times.size - 1
     for s, copy in kept:
         assert np.array_equal(s, copy)
     assert all(not np.shares_memory(a, b) for (a, _), (b, _) in zip(kept, kept[1:]))
+
+
+def test_cf4_column_groups_match_separate_runs():
+    # two groups of ket columns on different envelope grids and sample
+    # times, the longer one second, advance in one series per step: each
+    # must match a run of its own, with its own intervals, and every yielded
+    # block must be an array of its own
+    rng = np.random.default_rng(5)
+    dim, tr = 6, Truncation(6)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h0 = Operator((m + m.conj().T) / 2, tr, hermitian_hint=True)
+    groups, blocks = [], []
+    for dt, nsamp, times, nb in ((0.01, 9, [0.0, 0.03, 0.08], 2),
+                                 (0.0097, 12, [0.0, 0.042, 0.1], 3)):
+        env = rng.uniform(-1, 1, (nb, nsamp)) + 1j * rng.uniform(-1, 1, (nb, nsamp))
+        sched = Schedule(h0, [(env[0], annihilation(tr))], dt=dt)
+        groups.append((sched, np.array(times), [env]))
+        block = rng.normal(size=(dim, nb)) + 1j * rng.normal(size=(dim, nb))
+        blocks.append(block / np.linalg.norm(block, axis=0))
+    y = np.hstack(blocks)
+    kept = y.copy()
+    got = list(dynamics._cf4(groups, y))
+    assert np.array_equal(y, kept)
+    assert [(g, k) for g, _, k, _ in got] == [(0, 3), (1, 5), (0, 8), (1, 12)]
+    for g, group in enumerate(groups):
+        alone = list(dynamics._cf4([group], blocks[g]))
+        mine = [(state, k) for gg, state, k, _ in got if gg == g]
+        assert [k for _, k in mine] == [k for _, _, k, _ in alone]
+        for (state, _), (_, want, _, _) in zip(mine, alone):
+            assert np.max(np.abs(state - want)) < 1e-13
+    states = [state for _, state, _, _ in got]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(states)
+                   for b in states[i + 1:] + [y])
+    other = Schedule(Operator(np.eye(dim), tr), [(np.ones(12), annihilation(tr))], dt=0.0097)
+    with pytest.raises(ValueError, match="share h0"):
+        next(dynamics._cf4([groups[0], (other,) + groups[1][1:]], y))
 
 
 def _series_sizes(monkeypatch) -> list:
@@ -890,7 +929,7 @@ def test_fit_exponential_flags_its_log_linear_fallback(monkeypatch):
 
     def no_convergence(*args, **kwargs):
         raise RuntimeError("Optimal parameters not found")
-    monkeypatch.setattr(dynamics, "curve_fit", no_convergence)
+    monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
     fit = fit_exponential(t, y, with_offset=True)
     m = y > dynamics.FIT_FLOOR
     slope, intercept = np.polyfit(t[m], np.log(y[m]), 1)

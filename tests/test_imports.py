@@ -62,9 +62,11 @@ def test_scan_flags_an_unused_import():
 
 def test_import_leaves_scipy_ndimage_unloaded():
     # count_transfer_lobes imports scipy.ndimage on first use: at module level
-    # it added ~70 ms to every `import kerrcat`
+    # it added ~70 ms to every `import kerrcat`; so do fit_exponential and
+    # rabi_frequency for scipy.optimize (~80 ms)
     env = {**os.environ, "PYTHONPATH": str(Path(kerrcat.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c",
-                          "import sys, kerrcat; print('scipy.ndimage' in sys.modules)"],
+                          "import sys, kerrcat; print(*(m in sys.modules for m in "
+                          "('scipy.ndimage', 'scipy.optimize')))"],
                          capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
