@@ -1,9 +1,8 @@
 """Gate protocols on the stabilized cat qubit.
 
 X rotations come from deforming the double well with a phase-modulated drive
-(an effective time-dependent detuning) or from free Kerr evolution with the
-stabilization off; Z rotations from a weak resonant drive projected into the
-manifold; state preparation from ramping the stabilization drive.
+(an effective time-dependent detuning); Z rotations from a weak resonant
+drive projected into the manifold.
 
 Every protocol runs through the two evolution entry points of
 :mod:`kerrcat.dynamics`: ``evolve_ket`` for kets (exact under a constant
@@ -24,12 +23,10 @@ from .catframe import CatFrame, build_cat_frame
 from .dynamics import EvolutionResult, Schedule, _cf4, evolve, evolve_ket
 from .errors import OutOfWindow, ZeroDrive
 from .fock import (DensityMatrix, Ket, Operator, Truncation, annihilation,
-                   cat_state, coherent_state, default_truncation, fock_state,
-                   number_operator, parity_operator)
+                   number_operator)
 from .model import KerrCatParams, egap_estimate, kerr_cat_hamiltonian
 
-SAMPLE_PERIOD = 1e-3  # us (1 ns): envelope grid of the gate and the ramp
-RAMP_SATURATION = math.atanh(0.999)
+SAMPLE_PERIOD = 1e-3  # us (1 ns): envelope grid of the gate
 ZENO_DRIVE_WARN_FRACTION = 0.1
 
 
@@ -168,30 +165,6 @@ def count_transfer_lobes(transfer: np.ndarray, threshold: float = 0.5) -> int:
     return int(ndimage.label(transfer > threshold)[1])
 
 
-def kerr_free_flight_gate(K: float, trunc: Truncation, state0,
-                          n_samples: int = 2,
-                          observables: dict | None = None) -> EvolutionResult:
-    """Free evolution under H = -K a†²a² for exactly pi/(2K); a coherent
-    state evolves into an equal superposition of two rotated coherent
-    branches.
-
-    H is a constant Operator (diagonal in the number basis, -K n(n-1)), so a
-    Ket is normalized and propagated exactly by evolve_ket (nsteps 0, final
-    state also returned as final_ket), and a DensityMatrix is integrated by
-    evolve without jumps.
-    """
-    if K <= 0:
-        raise ValueError("K must be positive")
-    n = np.arange(trunc.dim, dtype=float)
-    h = Operator(np.diag(-K * n * (n - 1.0)), trunc, hermitian_hint=True)
-    times = np.linspace(0.0, math.pi / (2.0 * K), max(2, n_samples))
-    if isinstance(state0, Ket):
-        return evolve_ket(state0.normalized(), h, times, observables)
-    if isinstance(state0, DensityMatrix):
-        return evolve(state0, h, [], times, observables)
-    raise TypeError(f"state0 must be Ket or DensityMatrix, got {type(state0)}")
-
-
 def simulate_z_rotation(params: KerrCatParams, omega_z: float, theta_z: float,
                         duration: float, trunc: Truncation, n_samples: int = 501,
                         frame: CatFrame | None = None) -> EvolutionResult:
@@ -257,80 +230,3 @@ def cat_size_from_rabi(omega_c: float, omega_z: float) -> float:
     if omega_z <= 0:
         raise ZeroDrive("omega_z must be positive")
     return (omega_c / (2.0 * omega_z)) ** 2
-
-
-@dataclass
-class RampResult:
-    """Stabilization-ramp outcome with target-state fidelities."""
-
-    evolution: EvolutionResult
-    fidelity_even_cat: float
-    fidelity_plus_pointer: float
-    final_ket: Ket | None = None
-
-
-def stabilization_ramp(eps2_target: complex, tau_ramp: float,
-                       params: KerrCatParams, trunc: Truncation | None = None,
-                       state0: Ket | None = None) -> RampResult:
-    """Ramp the two-photon drive 0 -> eps2_target over tau_ramp along
-    tanh(RAMP_SATURATION t / tau_ramp), sampled every SAMPLE_PERIOD (closed
-    system), and report fidelities to the even cat and +pointer states."""
-    if tau_ramp <= 0:
-        raise ValueError("tau_ramp must be positive")
-    target = KerrCatParams(K=params.K, eps2=eps2_target, detuning=params.detuning)
-    if trunc is None:
-        trunc = default_truncation(target.alpha)
-    if state0 is None:
-        state0 = fock_state(0, trunc)
-    nsamp = max(3, int(math.ceil(tau_ramp / SAMPLE_PERIOD)) + 1)
-    t = np.linspace(0.0, tau_ramp, nsamp)
-    env = (np.tanh(RAMP_SATURATION * t / tau_ramp)
-           * complex(eps2_target)).astype(np.complex128)
-    a = annihilation(trunc).mat
-    ad = a.conj().T
-    h0 = Operator(-params.K * (ad @ ad @ a @ a) + params.detuning * (ad @ a),
-                  trunc, hermitian_hint=True)
-    sched = Schedule(h0=h0, envelopes=[(env, Operator(ad @ ad, trunc))],
-                     dt=t[1] - t[0], t0=0.0)
-    par = parity_operator(trunc)
-    res = evolve_ket(state0, sched, np.array([0.0, tau_ramp]), {"parity": par})
-    psi = res.final_ket.normalized()
-    alpha = target.alpha
-    even = cat_state(alpha, "even", trunc)
-    plus = coherent_state(alpha, trunc)
-    return RampResult(
-        evolution=res,
-        fidelity_even_cat=float(abs(even.overlap(psi)) ** 2),
-        fidelity_plus_pointer=float(abs(plus.overlap(psi)) ** 2),
-        final_ket=psi,
-    )
-
-
-@dataclass
-class PrepResult:
-    """Pointer-state preparation outcome."""
-
-    p_plus: float
-    p_minus: float
-    final_ket: Ket
-
-
-def fock_to_cat_prep(phase: float, params: KerrCatParams, tau_ramp: float,
-                     trunc: Truncation | None = None) -> PrepResult:
-    """Prepare (|0> + e^{i phase}|1>)/sqrt(2), ramp the stabilization on, and
-    report the pointer-state populations P(±alpha); P(+alpha) is sinusoidal
-    in phase."""
-    if trunc is None:
-        trunc = default_truncation(params.alpha)
-    amp = np.zeros(trunc.dim, dtype=np.complex128)
-    amp[0] = 1.0 / math.sqrt(2.0)
-    amp[1] = np.exp(1j * phase) / math.sqrt(2.0)
-    ramp = stabilization_ramp(params.eps2, tau_ramp, params, trunc,
-                              state0=Ket(amp, trunc))
-    frame = build_cat_frame(kerr_cat_hamiltonian(params, trunc))
-    psi = ramp.final_ket
-    return PrepResult(
-        p_plus=float(abs(frame.w_plus.overlap(psi)) ** 2),
-        p_minus=float(abs(frame.w_minus.overlap(psi)) ** 2),
-        final_ket=psi,
-    )

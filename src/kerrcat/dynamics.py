@@ -67,6 +67,10 @@ CF4_MIX = np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0],
 # the registry grid)
 CF4_WEIGHT_BLOCK = 64
 FIT_FLOOR = 0.05
+# Convergence tolerances of the nonlinear exponential fit: curve_fit's default
+# 1.5e-8 stopped the alpha² = 1 T_C fit at 100x rates 7.7e-7 short of the
+# least-squares optimum.
+FIT_TOL = 1e-12
 LIFETIME_SENTINEL_DROP = 0.02
 # A single-trial T_alpha run stops sampling once <Z> falls below this.
 LIFETIME_EARLY_STOP = 0.12
@@ -140,16 +144,6 @@ def standard_bath() -> BathSpec:
     return BathSpec(kappa_half=1.0 / 38.5, T_half=73.5,
                     kappa_full=7.0, T_full=515.0,
                     kappa_phi=MHZ * 1.0e-4)
-
-
-def plateau_bath(n_target: float = 0.05) -> BathSpec:
-    """Variant of the standard bath with T_half raised so the thermal
-    occupation at half the drive frequency equals n_target."""
-    base = standard_bath()
-    if not 0.0 < n_target < 1.0:
-        raise ValueError("n_target must be in (0, 1)")
-    t_half = HBAR_OVER_KB_MK * (base.omega_d / 2.0) / math.log(1.0 / n_target + 1.0)
-    return replace(base, T_half=t_half)
 
 
 @dataclass(frozen=True)
@@ -520,8 +514,8 @@ def _cf4(groups: list, y: np.ndarray, Ls: list | None = None):
     Both routes apply real matrices only. For kets each term K of G (G0 and
     each Hermitian drive term) is split into Re K and Im K, the latter a
     term of its own weighted by i, and parts that vanish are dropped, so a
-    real H (the Kerr-cat H with real eps2, the gate's n/2, the ramp's a†²
-    under a real envelope) leaves real terms only. The terms are stacked
+    real H (the Kerr-cat H with real eps2 and the gate's n/2 under a real
+    envelope) leaves real terms only. The terms are stacked
     side by side, [G0 | P_1 | ... | P_Q], dense for kets and CSR for rho
     (whose x is then an n x 1 block), and their weights for each
     exponential and column are one (Q+1) x nb array, so every Chebyshev
@@ -715,14 +709,12 @@ def _jump_matrices(jumps: list, dim: int) -> list:
     return [j.scaled_matrix() for j in jumps if j.rate > 0.0]
 
 
-def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None = None,
-           early_stop: tuple | None = None) -> EvolutionResult:
+def evolve(rho0: DensityMatrix, h, jumps: list, t_span,
+           observables: dict | None = None) -> EvolutionResult:
     """Integrate drho/dt = -i[H,rho] + sum rate*(L rho L† - ½{L†L, rho}).
 
     t_span: increasing sample times (first entry is the initial time).
     observables: name -> Operator; real parts of Tr(O rho) are recorded.
-    early_stop: optional (observable_name, threshold) — stop sampling once
-    that observable falls below threshold (used by lifetime fits).
 
     Every h, an Operator or a Schedule, is integrated by the CF4 scheme of
     evolve_ket (:func:`_cf4`), each exponential a Chebyshev series in the
@@ -733,13 +725,14 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     Schedule without envelopes) takes one exponential exp(L dt) per
     interval between samples, accurate to about machine precision for any
     increasing t_span. A schedule with envelopes takes two per interval of
-    the envelope grid cut at the sample times, and t_span must lie on that
-    grid. Intervals are cut further into pieces that keep the damping of
-    each exponential bounded; nsteps is the number of pieces taken, and
-    nterms the number of Chebyshev matrix products. A rho0 in one
-    relative-parity block (rho_ij = 0 wherever i + j is odd, or wherever it
-    is even), under an h and jumps of definite photon-number parity, is
-    advanced in that block alone, at about half the cost (see _cf4).
+    the envelope grid cut at the sample times, and t_span must lie within
+    the grid's span. Intervals are cut further into pieces that keep the
+    damping of each exponential bounded; nsteps is the number of pieces
+    taken, and nterms the number of Chebyshev matrix products. A rho0 in
+    one relative-parity block (rho_ij = 0 wherever i + j is odd, or
+    wherever it is even), under an h and jumps of definite photon-number
+    parity, is advanced in that block alone, at about half the cost (see
+    _cf4).
 
     There is no error control: under envelopes the envelope grid sets the
     accuracy. Strong loss against the grid spacing (interval * d/2 >~ 1,
@@ -760,26 +753,21 @@ def evolve(rho0: DensityMatrix, h, jumps: list, t_span, observables: dict | None
     series: dict = {name: [] for name in observables}
     total_steps = total_terms = 0
     drift = abs(float(np.real(np.trace(r))) - 1.0)
-    kept = 1
 
     def sample(rho_now):
         for name, op in observables.items():
             series[name].append(float(np.real(np.trace(op.mat @ rho_now))))
 
     sample(r)
-    stop_name, stop_thresh = early_stop if early_stop else (None, None)
     for _, v, total_steps, total_terms in states:
         r = v.reshape(dim, dim)
         sample(r)
-        kept += 1
         drift = max(drift, abs(float(np.real(np.trace(r))) - 1.0))
-        if stop_name is not None and series[stop_name][-1] < stop_thresh:
-            break
 
     final = DensityMatrix((r + r.conj().T) / 2, rho0.trunc,
                           trace_atol=1e-6, psd_atol=EVOLVE_PSD_ATOL)
     return EvolutionResult(
-        times=times[:kept],
+        times=times,
         observables={k: np.asarray(v) for k, v in series.items()},
         final_state=final,
         nsteps=total_steps,
@@ -801,7 +789,7 @@ def evolve_ket(psi0: Ket, h, t_span, observables: dict | None = None) -> Evoluti
     sample time: two Chebyshev-series exponentials per interval, with an
     error fifth order in the interval length. nsteps is then the number of
     CF4 intervals taken, and nterms the number of Chebyshev matrix products.
-    t_span must lie on the envelope grid.
+    t_span must lie within the envelope grid's span.
 
     Raises NotHermitian for an h0 that is not Hermitian, DimMismatch for a
     state or observable of another dim than h0, ValueError for sample times
@@ -875,10 +863,10 @@ def fit_exponential(t: np.ndarray, y: np.ndarray,
                     with_offset: bool = False) -> ExpFit:
     """Log-linear least squares over the window y > FIT_FLOOR, then nonlinear
     refinement with the analytic Jacobian (a finite-difference one moved T
-    by up to 1e-8 relative under round-off in y). When curve_fit raises
-    RuntimeError (no convergence), the log-linear estimate is returned with
-    offset 0 and fell_back set. Raises FitDiverged when no decaying fit
-    exists.
+    by up to 1e-8 relative under round-off in y), converged to FIT_TOL in
+    xtol, ftol and gtol. When curve_fit raises RuntimeError (no
+    convergence), the log-linear estimate is returned with offset 0 and
+    fell_back set. Raises FitDiverged when no decaying fit exists.
     """
     t = np.asarray(t, float)
     y = np.asarray(y, float)
@@ -898,14 +886,15 @@ def fit_exponential(t: np.ndarray, y: np.ndarray,
     def jac(tt, a, T, *c):  # d/d(a, T[, c]) of a exp(-t/T) [+ c]
         e = np.exp(-tt / T)
         return np.stack([e, a * tt / T ** 2 * e] + [np.ones_like(tt)] * len(c), axis=1)
+    opts = dict(jac=jac, maxfev=20000, xtol=FIT_TOL, ftol=FIT_TOL, gtol=FIT_TOL)
     try:
         if with_offset:
             p, _ = curve_fit(lambda tt, a, T, c: a * np.exp(-tt / T) + c,
-                             t, y, p0=[A0, T0, 0.0], jac=jac, maxfev=20000)
+                             t, y, p0=[A0, T0, 0.0], **opts)
             a_fit, T_fit, c_fit = float(p[0]), float(p[1]), float(p[2])
         else:
             p, _ = curve_fit(lambda tt, a, T: a * np.exp(-tt / T),
-                             t, y, p0=[A0, T0], jac=jac, maxfev=20000)
+                             t, y, p0=[A0, T0], **opts)
             a_fit, T_fit, c_fit = float(p[0]), float(p[1]), 0.0
     except RuntimeError:
         a_fit, T_fit, c_fit, fell_back = A0, T0, 0.0, True

@@ -189,10 +189,6 @@ def number_operator(trunc: Truncation) -> Operator:
                     hermitian_hint=True)
 
 
-def identity(trunc: Truncation) -> Operator:
-    return Operator(np.eye(trunc.dim, dtype=np.complex128), trunc, hermitian_hint=True)
-
-
 def parity_operator(trunc: Truncation) -> Operator:
     """Photon-number parity (-1)^n."""
     d = np.where(np.arange(trunc.dim) % 2 == 0, 1.0, -1.0).astype(np.complex128)

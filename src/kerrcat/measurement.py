@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularDesign
-from .fock import DensityMatrix, Truncation
 from .units import MHZ
 
 PTM_ENTRY_SLACK = 0.05
@@ -193,28 +192,6 @@ def qndness(r: ReadoutParams, flip_rate: float, shots: int, seed: int) -> float:
 
 # ----------------------------------------------------------------- tomography
 
-_PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-
-def state_tomography(bloch) -> DensityMatrix:
-    """rho = (I + x X + y Y + z Z)/2 from measured Bloch components,
-    projected onto the physical set by eigenvalue clipping + renormalization
-    when |bloch| > 1."""
-    x, y, z = (float(v) for v in bloch)
-    rho = 0.5 * (_PAULI["I"] + x * _PAULI["X"] + y * _PAULI["Y"] + z * _PAULI["Z"])
-    w, v = np.linalg.eigh(rho)
-    if w[0] < 0.0:
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        rho = (v * w) @ v.conj().T
-    return DensityMatrix(rho, Truncation(2))
-
-
 @dataclass
 class PTM:
     """4x4 real Pauli transfer matrix in basis (I, X, Y, Z)."""
@@ -249,11 +226,6 @@ def ptm_rotation(axis: str, angle: float) -> PTM:
     R[i, j] = -s
     R[j, i] = s
     return PTM(R)
-
-
-def ptm_depolarizing(p: float) -> PTM:
-    """Uniform depolarizing channel with Bloch shrink 1-p."""
-    return PTM(np.diag([1.0, 1.0 - p, 1.0 - p, 1.0 - p]))
 
 
 def apply_ptm(ptm: PTM, bloch) -> np.ndarray:

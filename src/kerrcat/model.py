@@ -23,7 +23,6 @@ from .fock import (Ket, Operator, Truncation, _check_hermitian, annihilation,
                    default_truncation)
 
 NONLINEARITY_WARN_FRACTION = 0.05
-DEGENERACY_GROUP_TOL_K = 1e-6
 
 
 @dataclass(frozen=True)
@@ -187,45 +186,6 @@ def cqr_coupling(p: SnailParams, xi_cqr_eff: complex) -> complex:
     return complex(6.0 * p.g3 * (p.g_c / delta) * xi_cqr_eff)
 
 
-def cqr_stark_and_cross_kerr(p: SnailParams,
-                             xi_cqr_eff: complex) -> tuple[float, float, float]:
-    """Drive-induced Stark shifts and static cross-Kerr:
-
-    stark_a = 24 g4 |xi|², stark_b = 24 g4 (g_c/Delta)² |xi|²,
-    cross_kerr = 24 g4 (g_c/Delta)².
-    """
-    delta = p.mode_detuning
-    if p.g_c != 0.0 and delta == 0.0:
-        raise DegenerateModes("mode detuning Delta = 0 with nonzero coupling")
-    ratio_sq = (p.g_c / delta) ** 2 if p.g_c != 0.0 else 0.0
-    xsq = abs(xi_cqr_eff) ** 2
-    return 24.0 * p.g4 * xsq, 24.0 * p.g4 * ratio_sq * xsq, 24.0 * p.g4 * ratio_sq
-
-
-def zeno_projected_drive(alpha: complex, omega_z: complex) -> tuple[complex, complex]:
-    """Coefficients (coeff_Z, coeff_Y) of the single-photon drive
-    (omega_z/2) a† + h.c. projected onto the cat manifold.
-
-    Within the manifold, P a P = |alpha| (c_z Z - i c_y Y) e^{i arg alpha}
-    with c_z = 1/sqrt(1-q²), c_y = q/sqrt(1-q²), q = exp(-2|alpha|²), so
-
-        P H P = c_z Re(omega_z alpha*) Z - c_y Im(omega_z alpha*) Y.
-
-    The Z eigenvalue splitting is 2|coeff_Z| ~= 2|alpha||omega_z| for real
-    phases; the Y part carries the exponential e^{-2|alpha|²} suppression.
-    """
-    if omega_z == 0.0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    mag = abs(alpha)
-    if mag == 0.0:
-        raise ZeroDrive("projection undefined at alpha = 0")
-    q = math.exp(-2.0 * mag * mag)
-    c_z = 1.0 / math.sqrt(1.0 - q * q)
-    c_y = q / math.sqrt(1.0 - q * q)
-    w = complex(omega_z) * np.conj(complex(alpha))
-    return complex(c_z * w.real), complex(-c_y * w.imag)
-
-
 def egap_estimate(p: KerrCatParams) -> float:
     """Leading-order gap between the cat manifold and the next pair: 4 K alpha²."""
     return 4.0 * p.K * p.cat_size
@@ -260,21 +220,3 @@ def well_excitations(h: Operator, k: int) -> np.ndarray:
     spec = spectrum(h, k, nearest_top=True)
     E = spec.eigenvalues[::-1]
     return E[0] - E
-
-
-def degenerate_groups(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices of a sorted-or-not value list into clusters within tol.
-
-    Used with tol = 1e-6*K to flag level crossings in detuning sweeps.
-    """
-    order = np.argsort(values)
-    groups: list[list[int]] = []
-    current = [int(order[0])]
-    for idx in order[1:]:
-        if abs(values[idx] - values[current[-1]]) <= tol:
-            current.append(int(idx))
-        else:
-            groups.append(current)
-            current = [int(idx)]
-    groups.append(current)
-    return groups

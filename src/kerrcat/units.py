@@ -8,20 +8,9 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
-# omega [rad/us] = f [MHz] * MHZ, f [GHz] * GHZ
+# omega [rad/us] = f [MHz] * MHZ
 MHZ = TWO_PI
-GHZ = TWO_PI * 1e3
 
 # k_B/hbar expressed in rad/us per mK: the only temperature conversion in use.
 KB_OVER_HBAR_MK = 130.920339  # rad/us/mK
 HBAR_OVER_KB_MK = 1.0 / KB_OVER_HBAR_MK  # us*mK
-
-
-def mhz(f: float) -> float:
-    """Angular frequency (rad/us) of f in MHz."""
-    return f * MHZ
-
-
-def ghz(f: float) -> float:
-    """Angular frequency (rad/us) of f in GHz."""
-    return f * GHZ

@@ -1,19 +1,16 @@
-"""Gate protocols: pulse shapes, chevron transfer, Zeno rotations, ramps."""
+"""Gate protocols: pulse shapes, chevron transfer, Zeno rotations."""
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrcat import (KerrCatParams, Ket, Operator, Truncation, XGateSpec,
-                     build_cat_frame, cat_size_from_rabi, chevron_map,
-                     coherent_state, count_transfer_lobes, default_truncation,
-                     effective_detuning, fock_to_cat_prep,
-                     kerr_cat_hamiltonian, kerr_free_flight_gate,
-                     parity_operator, phase_modulation_pulse, rabi_frequency,
-                     simulate_x_gate, simulate_z_rotation, stabilization_ramp,
+from kerrcat import (KerrCatParams, XGateSpec, build_cat_frame,
+                     cat_size_from_rabi, chevron_map, count_transfer_lobes,
+                     default_truncation, effective_detuning,
+                     kerr_cat_hamiltonian, phase_modulation_pulse,
+                     rabi_frequency, simulate_x_gate, simulate_z_rotation,
                      x_gate_schedule, x_gate_transfer)
 from kerrcat.dynamics import JumpTerm
 from kerrcat.errors import OutOfWindow, ZeroDrive
@@ -218,73 +215,6 @@ def test_count_transfer_lobes_synthetic():
     assert count_transfer_lobes(z, threshold=0.85) == 1
 
 
-# --------------------------------------------------------- Kerr free flight
-
-def test_free_flight_coherent_to_cat():
-    # exp(+i K t n(n-1)) at t = pi/2K multiplies Fock amplitudes by
-    # s_n = {+1 for n mod 4 in {0,1}, -1 for n mod 4 in {2,3}}, i.e.
-    # |alpha> -> (e^{-i pi/4}|i alpha> + e^{+i pi/4}|-i alpha>)/sqrt(2)
-    trunc = Truncation(40)
-    alpha = 2.0
-    res = kerr_free_flight_gate(K, trunc, coherent_state(alpha, trunc))
-    target = (np.exp(-1j * math.pi / 4) * coherent_state(1j * alpha, trunc).amp
-              + np.exp(1j * math.pi / 4) * coherent_state(-1j * alpha, trunc).amp)
-    target /= math.sqrt(2.0)
-    rho = res.final_state.mat
-    overlap = float(np.real(np.vdot(target, rho @ target)))
-    assert overlap == pytest.approx(1.0, abs=1e-9)
-    assert res.times[-1] == pytest.approx(math.pi / (2.0 * K))
-    assert res.nsteps == 0
-
-
-def test_free_flight_parity_conserved():
-    trunc = Truncation(30)
-    par = parity_operator(trunc)
-    res = kerr_free_flight_gate(1.0, trunc, coherent_state(1.5, trunc),
-                                n_samples=9, observables={"p": par})
-    p = res.observables["p"]
-    assert p.size == 9
-    assert np.allclose(p, p[0], atol=1e-10)
-
-
-def test_free_flight_density_matrix_matches_ket():
-    # two engines: eigh for the ket, CF4 on the Liouvillian for rho
-    trunc = Truncation(25)
-    psi = coherent_state(1.2, trunc)
-    a = annihilation(trunc).mat
-    obs = {"q": Operator(a + a.conj().T, trunc, hermitian_hint=True),
-           "p": parity_operator(trunc)}
-    res_ket = kerr_free_flight_gate(0.8, trunc, psi, n_samples=5, observables=obs)
-    res_dm = kerr_free_flight_gate(0.8, trunc, psi.to_density_matrix(),
-                                   n_samples=5, observables=obs)
-    assert np.allclose(res_ket.final_state.mat, res_dm.final_state.mat,
-                       atol=1e-12)
-    assert np.array_equal(res_ket.times, res_dm.times)
-    for name in obs:
-        assert res_ket.observables[name].size == 5
-        assert np.allclose(res_ket.observables[name], res_dm.observables[name],
-                           atol=1e-12)
-
-
-def test_free_flight_ket_sets_final_ket():
-    trunc = Truncation(20)
-    psi = coherent_state(1.1, trunc)
-    res = kerr_free_flight_gate(0.8, trunc, psi)
-    n = np.arange(trunc.dim)
-    want = psi.amp * np.exp(1j * (math.pi / 2.0) * n * (n - 1))
-    assert np.max(np.abs(res.final_ket.amp - want)) < 1e-12
-    assert np.max(np.abs(res.final_state.mat - np.outer(want, want.conj()))) < 1e-12
-    assert kerr_free_flight_gate(0.8, trunc, psi.to_density_matrix()).final_ket is None
-
-
-def test_free_flight_validation():
-    trunc = Truncation(16)
-    with pytest.raises(ValueError):
-        kerr_free_flight_gate(0.0, trunc, coherent_state(1.0, trunc))
-    with pytest.raises(TypeError):
-        kerr_free_flight_gate(1.0, trunc, np.zeros(16))
-
-
 # -------------------------------------------------------------- Zeno rotation
 
 def test_zeno_rotation_recovers_cat_size(cat4):
@@ -343,37 +273,3 @@ def test_cat_size_from_rabi():
     assert cat_size_from_rabi(2.0 * math.sqrt(8.0), 1.0) == pytest.approx(8.0)
     with pytest.raises(ZeroDrive):
         cat_size_from_rabi(1.0, 0.0)
-
-
-# ------------------------------------------------------- ramps & preparation
-
-def test_stabilization_ramp_prepares_even_cat():
-    params = KerrCatParams(K=K, eps2=2.0 * K)
-    res = stabilization_ramp(params.eps2, 6.0, KerrCatParams(K=K, eps2=0.0))
-    assert res.fidelity_even_cat > 0.99
-    # an even cat projects onto the +pointer with weight ~ 1/2
-    assert 0.4 < res.fidelity_plus_pointer < 0.65
-    # two-photon drive and Kerr both preserve photon-number parity
-    parity = res.evolution.observables["parity"]
-    assert np.allclose(parity, 1.0, atol=1e-6)
-
-
-def test_stabilization_ramp_validation():
-    params = KerrCatParams(K=K, eps2=0.0)
-    with pytest.raises(ValueError):
-        stabilization_ramp(2.0 * K, 0.0, params)
-
-
-def test_fock_to_cat_prep_phase_fringe():
-    params = KerrCatParams(K=K, eps2=2.0 * K)
-    probs = {}
-    for ph in (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0):
-        r = fock_to_cat_prep(ph, params, 3.0)
-        probs[ph] = (r.p_plus, r.p_minus)
-        assert r.p_plus + r.p_minus == pytest.approx(1.0, abs=0.02)
-    # pointer populations trace a sinusoidal fringe in the preparation phase:
-    # opposite phases are complementary and the visibility is high
-    assert probs[0.0][0] + probs[math.pi][0] == pytest.approx(1.0, abs=0.03)
-    vis = math.hypot(probs[0.0][0] - probs[math.pi][0],
-                     probs[math.pi / 2.0][0] - probs[3.0 * math.pi / 2.0][0])
-    assert vis > 0.8

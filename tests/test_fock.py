@@ -10,9 +10,9 @@ from scipy.special import eval_laguerre
 
 from kerrcat import (DensityMatrix, Ket, Operator, Truncation, annihilation,
                      cat_state, coherent_state, creation, default_truncation,
-                     displacement, expectation, fock_state, identity,
-                     number_operator, parity_operator, state_fidelity, wigner,
-                     wigner_grid, wigner_normalization)
+                     displacement, expectation, fock_state, number_operator,
+                     parity_operator, state_fidelity, wigner, wigner_grid,
+                     wigner_normalization)
 from kerrcat.errors import (DegenerateCat, DimMismatch, NotHermitian,
                             TruncationTooSmall)
 
@@ -223,7 +223,3 @@ def test_wigner_accepts_density_matrix():
     got = wigner(rho, np.array(0.0))
     want = 0.5 * (2 / math.pi) + 0.5 * (-2 / math.pi)
     assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_identity_operator():
-    assert np.array_equal(identity(TR).mat, np.eye(20))

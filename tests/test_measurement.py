@@ -10,11 +10,19 @@ from scipy.stats import norm
 from kerrcat import (CANONICAL_PREPS, DiscriminationLine, IQShot, PTM,
                      SpamModel, apply_ptm, cqr_steady_amplitude, default_line,
                      default_readout, discriminate, gate_fidelity,
-                     misassignment_probability, ptm_depolarizing,
-                     ptm_estimate, ptm_identity, ptm_rotation, qndness,
-                     simulate_readout, state_tomography, tomography_pipeline)
+                     misassignment_probability, ptm_estimate, ptm_identity,
+                     ptm_rotation, qndness, simulate_readout,
+                     tomography_pipeline)
 from kerrcat.errors import SingularDesign
-from kerrcat.measurement import ReadoutParams, _PAULI
+from kerrcat.measurement import ReadoutParams
+
+PAULI = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
 
 # ------------------------------------------------------------- pointer model
 
@@ -115,24 +123,6 @@ def test_qndness_limits():
 
 # --------------------------------------------------------------- tomography
 
-def test_state_tomography_pure_and_mixed():
-    rho_z = state_tomography((0.0, 0.0, 1.0))
-    assert rho_z.mat[0, 0] == pytest.approx(1.0)
-    rho_x = state_tomography((1.0, 0.0, 0.0))
-    assert rho_x.mat[0, 1] == pytest.approx(0.5)
-    rho_m = state_tomography((0.0, 0.0, 0.5))
-    assert np.trace(rho_m.mat).real == pytest.approx(1.0)
-    assert np.linalg.eigvalsh(rho_m.mat)[0] == pytest.approx(0.25)
-
-
-def test_state_tomography_clips_unphysical():
-    rho = state_tomography((0.9, 0.0, 0.9))  # |bloch| > 1
-    w = np.linalg.eigvalsh(rho.mat)
-    assert w[0] >= -1e-12
-    assert np.trace(rho.mat).real == pytest.approx(1.0)
-    assert np.allclose(rho.mat, rho.mat.conj().T)
-
-
 def test_ptm_validation():
     bad_first = np.eye(4)
     bad_first[0, 1] = 0.2
@@ -152,14 +142,14 @@ def test_ptm_validation():
 @given(axis=st.sampled_from(["X", "Y", "Z"]), angle=st.floats(0.0, 6.28))
 def test_ptm_rotation_matches_unitary_conjugation(axis, angle):
     # independent route: R_ij = (1/2) Tr(P_i U P_j U†)
-    U = (math.cos(angle / 2.0) * _PAULI["I"]
-         - 1j * math.sin(angle / 2.0) * _PAULI[axis])
+    U = (math.cos(angle / 2.0) * PAULI["I"]
+         - 1j * math.sin(angle / 2.0) * PAULI[axis])
     labels = ["I", "X", "Y", "Z"]
     R = np.empty((4, 4))
     for j, pj in enumerate(labels):
-        conj = U @ _PAULI[pj] @ U.conj().T
+        conj = U @ PAULI[pj] @ U.conj().T
         for i, pi in enumerate(labels):
-            R[i, j] = 0.5 * np.real(np.trace(_PAULI[pi] @ conj))
+            R[i, j] = 0.5 * np.real(np.trace(PAULI[pi] @ conj))
     assert np.allclose(ptm_rotation(axis, angle).matrix, R, atol=1e-10)
 
 
@@ -179,7 +169,8 @@ def test_apply_ptm_and_estimate_roundtrip():
 def test_gate_fidelity_formulas():
     assert gate_fidelity(ptm_identity(), ptm_identity()) == pytest.approx(1.0)
     for p in (0.0, 0.1, 0.4):
-        f = gate_fidelity(ptm_depolarizing(p), ptm_identity())
+        depolarizing = PTM(np.diag([1.0, 1.0 - p, 1.0 - p, 1.0 - p]))
+        f = gate_fidelity(depolarizing, ptm_identity())
         assert f == pytest.approx(1.0 - p / 2.0, abs=1e-12)
     rot = ptm_rotation("Z", 1.1)
     assert gate_fidelity(rot, rot) == pytest.approx(1.0)

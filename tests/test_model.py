@@ -7,12 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kerrcat import (KerrCatParams, SnailParams, Truncation, cqr_coupling,
-                     cqr_stark_and_cross_kerr, default_truncation,
-                     degenerate_groups, dressed_mode_params,
+                     default_truncation, dressed_mode_params,
                      effective_kerr_params, effective_squeezing_amplitude,
                      egap_estimate, kerr_cat_hamiltonian, number_operator,
-                     spectrum, squeezing_for_cat_size, well_excitations,
-                     zeno_projected_drive)
+                     spectrum, squeezing_for_cat_size, well_excitations)
 from kerrcat.errors import (DegenerateModes, NotHermitian,
                             ResonantDriveSingularity, TruncationTooSmall)
 from kerrcat.fock import Operator
@@ -98,22 +96,6 @@ def test_cqr_formulas():
     xi = 0.01 + 0.005j
     assert cqr_coupling(s, xi) == pytest.approx(
         6 * s.g3 * (s.g_c / s.mode_detuning) * xi)
-    stark_a, stark_b, cross = cqr_stark_and_cross_kerr(s, xi)
-    assert stark_a == pytest.approx(24 * s.g4 * abs(xi) ** 2)
-    assert stark_b == pytest.approx(24 * s.g4 * (s.g_c / s.mode_detuning) ** 2
-                                    * abs(xi) ** 2)
-    assert cross == pytest.approx(24 * s.g4 * (s.g_c / s.mode_detuning) ** 2)
-
-
-def test_zeno_projected_drive_coefficients():
-    alpha = 2.0
-    q = math.exp(-2 * alpha ** 2)
-    cz = 1.0 / math.sqrt(1 - q * q)
-    cy = q / math.sqrt(1 - q * q)
-    for omega in (1.0, 0.3 + 0.4j, -0.2j):
-        z_coef, y_coef = zeno_projected_drive(alpha, omega)
-        assert z_coef == pytest.approx(cz * (omega * np.conj(alpha)).real)
-        assert y_coef == pytest.approx(-cy * (omega * np.conj(alpha)).imag)
 
 
 def test_egap_estimate_and_true_gap_ratio():
@@ -151,12 +133,6 @@ def test_well_excitations_ascending_from_zero():
     exc = well_excitations(kerr_cat_hamiltonian(p, default_truncation(p.alpha)), 6)
     assert exc[0] == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.diff(exc) >= -1e-12)
-
-
-def test_degenerate_groups():
-    vals = np.array([0.0, 1e-12, 1.0, 1.0 + 1e-12, 2.5])
-    groups = degenerate_groups(vals, tol=1e-9)
-    assert groups == [[0, 1], [2, 3], [4]]
 
 
 def test_snail_nonlinearity_warning():
